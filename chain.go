@@ -29,14 +29,109 @@ type ChainOptions struct {
 	RatePps float64
 }
 
+// endpoints are a benchmark chain's measured ends: the source/sink VMs of
+// a memory-only or split chain, and the wire sinks of a NIC chain. Chain
+// and SplitChain embed it for their measurement methods.
+type endpoints struct {
+	ends []*vnf.SrcSink
+	wsnk []*nic.WireSink
+}
+
+// ResetWindow zeroes all measurement counters.
+func (e *endpoints) ResetWindow() {
+	for _, s := range e.ends {
+		s.ResetWindow()
+	}
+	for _, s := range e.wsnk {
+		s.ResetWindow()
+	}
+}
+
+// RatePps returns the aggregate receive rate since the window start (both
+// directions summed, matching the paper's bidirectional throughput axis).
+func (e *endpoints) RatePps() float64 {
+	var total float64
+	for _, s := range e.ends {
+		total += s.RatePps()
+	}
+	for _, s := range e.wsnk {
+		total += s.RatePps()
+	}
+	return total
+}
+
+// MeasureMpps runs a fresh measurement window of the given duration and
+// returns the aggregate throughput in Mpps.
+func (e *endpoints) MeasureMpps(window time.Duration) float64 {
+	e.ResetWindow()
+	time.Sleep(window)
+	return e.RatePps() / 1e6
+}
+
+// LatencyQuantile returns the q-quantile of one-way latency across both
+// directions. Only meaningful for chains deployed with Timestamp: true;
+// timestamps survive the trunk hop (the pump copies them across pools).
+func (e *endpoints) LatencyQuantile(q float64) time.Duration {
+	var worst time.Duration
+	for _, s := range e.ends {
+		if v := s.Lat.Quantile(q); v > worst {
+			worst = v
+		}
+	}
+	return worst
+}
+
+// LatencyMean returns the mean one-way latency across both directions.
+func (e *endpoints) LatencyMean() time.Duration {
+	var sum time.Duration
+	var n int
+	for _, s := range e.ends {
+		if s.Lat.Count() > 0 {
+			sum += s.Lat.Mean()
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / time.Duration(n)
+}
+
+// LatencySamples returns the number of recorded latency samples.
+func (e *endpoints) LatencySamples() uint64 {
+	var total uint64
+	for _, s := range e.ends {
+		total += s.Lat.Count()
+	}
+	return total
+}
+
+// settle waits (bounded by timeout) for a conservation ledger to stop
+// moving: a sustained run of identical observations, not just two, since a
+// packet parked behind a stalled thread moves no counter for a while.
+func settle(timeout time.Duration, ledger func() uint64) {
+	deadline := time.Now().Add(timeout)
+	prev := ledger()
+	stable := 0
+	for time.Now().Before(deadline) && stable < 8 {
+		time.Sleep(5 * time.Millisecond)
+		cur := ledger()
+		if cur == prev {
+			stable++
+		} else {
+			stable = 0
+			prev = cur
+		}
+	}
+}
+
 // Chain is a deployed benchmark chain with measurement hooks.
 type Chain struct {
+	endpoints
 	dep  *Deployment
 	node *Node
 	n    int
-	ends []*vnf.SrcSink   // memory-only chains (Figure 3(a))
 	gens []*nic.Generator // NIC chains (Figure 3(b))
-	wsnk []*nic.WireSink
 	nics []*nic.NIC
 }
 
@@ -80,12 +175,8 @@ func (node *Node) DeployBidirChain(n int, opts ChainOptions) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Chain{dep: d, node: node, n: n}
-	c.ends = []*vnf.SrcSink{
-		d.inner.SrcSink("end0"),
-		d.inner.SrcSink("end1"),
-	}
-	return c, nil
+	ends := []*vnf.SrcSink{d.inner.SrcSink("end0"), d.inner.SrcSink("end1")}
+	return &Chain{endpoints: endpoints{ends: ends}, dep: d, node: node, n: n}, nil
 }
 
 // DeployNICChain deploys the paper's Figure 3(b) workload: n forwarder VMs
@@ -174,74 +265,6 @@ func (c *Chain) Stop() {
 
 // Length returns the number of forwarder VMs.
 func (c *Chain) Length() int { return c.n }
-
-// ResetWindow zeroes all measurement counters.
-func (c *Chain) ResetWindow() {
-	for _, e := range c.ends {
-		e.ResetWindow()
-	}
-	for _, s := range c.wsnk {
-		s.ResetWindow()
-	}
-}
-
-// RatePps returns the instantaneous aggregate receive rate (both
-// directions summed, matching the paper's bidirectional throughput axis).
-func (c *Chain) RatePps() float64 {
-	var total float64
-	for _, e := range c.ends {
-		total += e.RatePps()
-	}
-	for _, s := range c.wsnk {
-		total += s.RatePps()
-	}
-	return total
-}
-
-// MeasureMpps runs a fresh measurement window of the given duration and
-// returns the aggregate throughput in Mpps.
-func (c *Chain) MeasureMpps(window time.Duration) float64 {
-	c.ResetWindow()
-	time.Sleep(window)
-	return c.RatePps() / 1e6
-}
-
-// LatencyQuantile returns the q-quantile of one-way latency across both
-// directions. Only meaningful for chains deployed with Timestamp: true.
-func (c *Chain) LatencyQuantile(q float64) time.Duration {
-	var worst time.Duration
-	for _, e := range c.ends {
-		if v := e.Lat.Quantile(q); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// LatencyMean returns the mean one-way latency across both directions.
-func (c *Chain) LatencyMean() time.Duration {
-	var sum time.Duration
-	var n int
-	for _, e := range c.ends {
-		if e.Lat.Count() > 0 {
-			sum += e.Lat.Mean()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
-}
-
-// LatencySamples returns the number of recorded latency samples.
-func (c *Chain) LatencySamples() uint64 {
-	var total uint64
-	for _, e := range c.ends {
-		total += e.Lat.Count()
-	}
-	return total
-}
 
 // ExpectedBypasses returns the number of directed bypass links a highway
 // node should establish for this chain: every VM↔VM hop in both directions.

@@ -261,6 +261,11 @@ type MigrateReport = orchestrator.MigrateReport
 // live migration currently owns the deployment; match with errors.Is.
 var ErrMigrationInFlight = orchestrator.ErrMigrationInFlight
 
+// ErrStatefulMove reports a refused move of a stateful VNF (NAT44, ACL,
+// balancer), whose connection state a replica would not have; match with
+// errors.Is.
+var ErrStatefulMove = orchestrator.ErrStatefulMove
+
 // Migrate live-moves a middle VNF to another node using make-before-break
 // double-steering: the replica and its whole forwarding path are plumbed
 // dark, the feed rules flip atomically, and the old path drains to
@@ -279,10 +284,10 @@ func (d *ClusterDeployment) Crossings() int { return d.inner.Crossings() }
 // SplitChain is a bidirectional benchmark chain deployed across cluster
 // nodes, with the same measurement hooks as Chain.
 type SplitChain struct {
+	endpoints
 	dep      *ClusterDeployment
 	n        int
 	segments []int
-	ends     []*vnf.SrcSink
 }
 
 // DeploySplitChain deploys the Figure 3(a) bidirectional chain of n
@@ -356,31 +361,16 @@ func (c *SplitChain) InFlight() int64 {
 }
 
 // Settle pauses nothing but waits (bounded by timeout) for the chain's
-// sent/received ledger to stop moving — a sustained run of identical
-// observations, not just two, since a packet parked behind a stalled
-// thread moves no counter for a while — then returns InFlight. Call after
+// sent/received ledger to stop moving, then returns InFlight. Call after
 // Pause(true) to let residual in-flight packets land.
 func (c *SplitChain) Settle(timeout time.Duration) int64 {
-	ledger := func() uint64 {
+	settle(timeout, func() uint64 {
 		var v uint64
 		for _, e := range c.ends {
 			v += e.Sent.Load() + e.Received.Load()
 		}
 		return v
-	}
-	deadline := time.Now().Add(timeout)
-	prev := ledger()
-	stable := 0
-	for time.Now().Before(deadline) && stable < 8 {
-		time.Sleep(5 * time.Millisecond)
-		cur := ledger()
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = cur
-		}
-	}
+	})
 	return c.InFlight()
 }
 
@@ -390,68 +380,6 @@ func (c *SplitChain) Length() int { return c.n }
 // Segments returns the number of chain VMs placed on each node, in node
 // order.
 func (c *SplitChain) Segments() []int { return append([]int(nil), c.segments...) }
-
-// ResetWindow zeroes all measurement counters.
-func (c *SplitChain) ResetWindow() {
-	for _, e := range c.ends {
-		e.ResetWindow()
-	}
-}
-
-// RatePps returns the aggregate receive rate of both chain ends.
-func (c *SplitChain) RatePps() float64 {
-	var total float64
-	for _, e := range c.ends {
-		total += e.RatePps()
-	}
-	return total
-}
-
-// MeasureMpps runs a fresh measurement window and returns the aggregate
-// throughput in Mpps.
-func (c *SplitChain) MeasureMpps(window time.Duration) float64 {
-	c.ResetWindow()
-	time.Sleep(window)
-	return c.RatePps() / 1e6
-}
-
-// LatencyQuantile returns the q-quantile of one-way latency across both
-// directions. Only meaningful for chains deployed with Timestamp: true;
-// timestamps survive the trunk hop (the pump copies them across pools).
-func (c *SplitChain) LatencyQuantile(q float64) time.Duration {
-	var worst time.Duration
-	for _, e := range c.ends {
-		if v := e.Lat.Quantile(q); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// LatencyMean returns the mean one-way latency across both directions.
-func (c *SplitChain) LatencyMean() time.Duration {
-	var sum time.Duration
-	var n int
-	for _, e := range c.ends {
-		if e.Lat.Count() > 0 {
-			sum += e.Lat.Mean()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
-}
-
-// LatencySamples returns the number of recorded latency samples.
-func (c *SplitChain) LatencySamples() uint64 {
-	var total uint64
-	for _, e := range c.ends {
-		total += e.Lat.Count()
-	}
-	return total
-}
 
 // ExpectedBypasses returns the number of directed bypass links a highway
 // cluster should establish for this chain: every intra-node VM↔VM hop in
@@ -601,23 +529,9 @@ func (sc *StatefulChain) InFlight() int64 {
 	return int64(sc.Sent()) - int64(sc.Received())
 }
 
-// Settle waits (bounded by timeout) for the chain's ledger to stop moving —
-// a sustained run of identical observations — then returns InFlight. Call
-// after Pause(true).
+// Settle waits (bounded by timeout) for the chain's ledger to stop moving,
+// then returns InFlight. Call after Pause(true).
 func (sc *StatefulChain) Settle(timeout time.Duration) int64 {
-	ledger := func() uint64 { return sc.Sent() + sc.Received() }
-	deadline := time.Now().Add(timeout)
-	prev := ledger()
-	stable := 0
-	for time.Now().Before(deadline) && stable < 8 {
-		time.Sleep(5 * time.Millisecond)
-		cur := ledger()
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = cur
-		}
-	}
+	settle(timeout, func() uint64 { return sc.Sent() + sc.Received() })
 	return sc.InFlight()
 }

@@ -48,15 +48,6 @@ type ExperimentConfig struct {
 	// carry most packets over a long mouse tail — the regime where sparse
 	// EMC insertion wins.
 	ZipfSkew float64
-	// NumQueues is the RSS queue count per dpdkr port in the pmdscale
-	// experiment (default 4): the hot port's traffic fans over this many
-	// independently-homed queues, which is what gives extra PMDs something
-	// to own.
-	NumQueues int
-	// AutoBalance enables the load balancer in experiment arms that support
-	// it (pmdscale runs each point with and without regardless; this seeds
-	// the default for other harness users).
-	AutoBalance bool
 }
 
 func (c *ExperimentConfig) fill() {
@@ -69,9 +60,85 @@ func (c *ExperimentConfig) fill() {
 	if c.Flows == 0 {
 		c.Flows = 4
 	}
-	if c.NumQueues == 0 {
-		c.NumQueues = 4
+}
+
+// hostConfig is the node configuration every experiment host boots with.
+func (c ExperimentConfig) hostConfig(mode Mode) Config {
+	return Config{Mode: mode, NumPMDs: c.NumPMDs, EMCDisabled: c.EMCDisabled, SMCDisabled: c.SMCDisabled}
+}
+
+// chainHost is the node or cluster a chain point runs on.
+type chainHost interface {
+	Mode() Mode
+	WaitBypasses(want int) bool
+	BypassCount() int
+	Stop()
+}
+
+// pointChain is a benchmark chain as the point runner drives it.
+type pointChain interface {
+	ExpectedBypasses() int
+	MeasureMpps(window time.Duration) float64
+	Stop()
+}
+
+// measure warms the chain up for Warmup, then runs one measurement window
+// of Window and returns its throughput in Mpps. The window's latency
+// figures stay readable on the chain afterwards.
+func (c ExperimentConfig) measure(ch pointChain) float64 {
+	time.Sleep(c.Warmup)
+	return ch.MeasureMpps(c.Window)
+}
+
+// steadyMpps waits until a highway host has established every bypass the
+// chain expects, then measures the chain.
+func (c ExperimentConfig) steadyMpps(name string, h chainHost, ch pointChain) (float64, error) {
+	if h.Mode() == ModeHighway && !h.WaitBypasses(ch.ExpectedBypasses()) {
+		return 0, fmt.Errorf("%s: bypasses not established (%d live, want %d)",
+			name, h.BypassCount(), ch.ExpectedBypasses())
 	}
+	return c.measure(ch), nil
+}
+
+// runPoint is the chain point runner: it boots the host, deploys the chain
+// on it, waits for the highway bypasses, warms up, takes one measurement
+// window and hands its Mpps to row, which reads the rest of the row off the
+// chain (and may drive further steps). The chain and host are torn down
+// when row returns.
+func runPoint[H chainHost, C pointChain](cfg ExperimentConfig, name string,
+	start func() (H, error), deploy func(H) (C, error), row func(H, C, float64) error) error {
+	h, err := start()
+	if err != nil {
+		return err
+	}
+	defer h.Stop()
+	ch, err := deploy(h)
+	if err != nil {
+		return err
+	}
+	defer ch.Stop()
+	mpps, err := cfg.steadyMpps(name, h, ch)
+	if err != nil {
+		return err
+	}
+	return row(h, ch, mpps)
+}
+
+// lossAcross brackets op with the paced chain's settled conservation
+// ledger: generation pauses, the in-flight packets land, the ledger is
+// read and generation resumes — once before op and once after. The
+// difference is the number of packets op lost.
+func lossAcross(ch *SplitChain, op func() error) (int64, error) {
+	settled := func() int64 {
+		ch.Pause(true)
+		defer ch.Pause(false)
+		return ch.Settle(2 * time.Second)
+	}
+	l0 := settled()
+	if err := op(); err != nil {
+		return 0, err
+	}
+	return settled() - l0, nil
 }
 
 // ThroughputRow is one point of Figure 3.
@@ -84,82 +151,36 @@ type ThroughputRow struct {
 // RunFig3aPoint measures one memory-only chain point: vms is the paper's
 // x-axis (total VMs including the source/sink endpoints, so vms-2
 // forwarders), mode selects the datapath.
-func RunFig3aPoint(vms int, mode Mode, cfg ExperimentConfig) (ThroughputRow, error) {
+func RunFig3aPoint(vms int, mode Mode, cfg ExperimentConfig) (row ThroughputRow, err error) {
 	cfg.fill()
 	if vms < 2 {
-		return ThroughputRow{}, fmt.Errorf("fig3a: need >= 2 VMs, got %d", vms)
+		return row, fmt.Errorf("fig3a: need >= 2 VMs, got %d", vms)
 	}
-	node, err := Start(Config{Mode: mode, NumPMDs: cfg.NumPMDs, EMCDisabled: cfg.EMCDisabled, SMCDisabled: cfg.SMCDisabled})
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	defer node.Stop()
-	chain, err := node.DeployBidirChain(vms-2, ChainOptions{Flows: cfg.Flows})
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	defer chain.Stop()
-	if mode == ModeHighway && !node.WaitBypasses(chain.ExpectedBypasses()) {
-		return ThroughputRow{}, fmt.Errorf("fig3a: bypasses not established (%d live)", node.BypassCount())
-	}
-	time.Sleep(cfg.Warmup)
-	mpps := chain.MeasureMpps(cfg.Window)
-	return ThroughputRow{VMs: vms, Mode: mode, Mpps: mpps}, nil
-}
-
-// RunFig3a sweeps chain lengths for both modes, reproducing Figure 3(a).
-func RunFig3a(vmCounts []int, cfg ExperimentConfig) ([]ThroughputRow, error) {
-	var rows []ThroughputRow
-	for _, vms := range vmCounts {
-		for _, mode := range []Mode{ModeVanilla, ModeHighway} {
-			r, err := RunFig3aPoint(vms, mode, cfg)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
+	err = runPoint(cfg, "fig3a",
+		func() (*Node, error) { return Start(cfg.hostConfig(mode)) },
+		func(n *Node) (*Chain, error) { return n.DeployBidirChain(vms-2, ChainOptions{Flows: cfg.Flows}) },
+		func(_ *Node, _ *Chain, mpps float64) error {
+			row = ThroughputRow{VMs: vms, Mode: mode, Mpps: mpps}
+			return nil
+		})
+	return row, err
 }
 
 // RunFig3bPoint measures one NIC-attached chain point: vms forwarder VMs
 // between two line-rate-limited 10G NICs.
-func RunFig3bPoint(vms int, mode Mode, cfg ExperimentConfig) (ThroughputRow, error) {
+func RunFig3bPoint(vms int, mode Mode, cfg ExperimentConfig) (row ThroughputRow, err error) {
 	cfg.fill()
 	if vms < 1 {
-		return ThroughputRow{}, fmt.Errorf("fig3b: need >= 1 VM, got %d", vms)
+		return row, fmt.Errorf("fig3b: need >= 1 VM, got %d", vms)
 	}
-	node, err := Start(Config{Mode: mode, NumPMDs: cfg.NumPMDs, EMCDisabled: cfg.EMCDisabled, SMCDisabled: cfg.SMCDisabled})
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	defer node.Stop()
-	chain, err := node.DeployNICChain(vms, ChainOptions{Flows: cfg.Flows})
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	defer chain.Stop()
-	if mode == ModeHighway && !node.WaitBypasses(chain.ExpectedBypasses()) {
-		return ThroughputRow{}, fmt.Errorf("fig3b: bypasses not established (%d live)", node.BypassCount())
-	}
-	time.Sleep(cfg.Warmup)
-	mpps := chain.MeasureMpps(cfg.Window)
-	return ThroughputRow{VMs: vms, Mode: mode, Mpps: mpps}, nil
-}
-
-// RunFig3b sweeps chain lengths for both modes, reproducing Figure 3(b).
-func RunFig3b(vmCounts []int, cfg ExperimentConfig) ([]ThroughputRow, error) {
-	var rows []ThroughputRow
-	for _, vms := range vmCounts {
-		for _, mode := range []Mode{ModeVanilla, ModeHighway} {
-			r, err := RunFig3bPoint(vms, mode, cfg)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
+	err = runPoint(cfg, "fig3b",
+		func() (*Node, error) { return Start(cfg.hostConfig(mode)) },
+		func(n *Node) (*Chain, error) { return n.DeployNICChain(vms, ChainOptions{Flows: cfg.Flows}) },
+		func(_ *Node, _ *Chain, mpps float64) error {
+			row = ThroughputRow{VMs: vms, Mode: mode, Mpps: mpps}
+			return nil
+		})
+	return row, err
 }
 
 // MultiNodeRow is one point of the 2-node split-chain experiment: a
@@ -178,50 +199,23 @@ type MultiNodeRow struct {
 // hops can bypass in highway mode; the inter-node hop rides a VLAN lane on
 // the nodes' shared 10G trunk in either mode — realistic shared-uplink
 // contention, not a private wire.
-func RunMultiNodePoint(vms int, mode Mode, cfg ExperimentConfig) (MultiNodeRow, error) {
+func RunMultiNodePoint(vms int, mode Mode, cfg ExperimentConfig) (row MultiNodeRow, err error) {
 	cfg.fill()
 	if vms < 2 {
-		return MultiNodeRow{}, fmt.Errorf("multinode: need >= 2 VMs, got %d", vms)
+		return row, fmt.Errorf("multinode: need >= 2 VMs, got %d", vms)
 	}
-	cluster, err := StartCluster(ClusterConfig{
-		Config: Config{Mode: mode, NumPMDs: cfg.NumPMDs, EMCDisabled: cfg.EMCDisabled, SMCDisabled: cfg.SMCDisabled},
-		Nodes:  []string{"node-a", "node-b"},
-	})
-	if err != nil {
-		return MultiNodeRow{}, err
-	}
-	defer cluster.Stop()
-	chain, err := cluster.DeploySplitChain(vms-2, nil, ChainOptions{Flows: cfg.Flows})
-	if err != nil {
-		return MultiNodeRow{}, err
-	}
-	defer chain.Stop()
-	if mode == ModeHighway && !cluster.WaitBypasses(chain.ExpectedBypasses()) {
-		return MultiNodeRow{}, fmt.Errorf("multinode: bypasses not established (%d live, want %d)",
-			cluster.BypassCount(), chain.ExpectedBypasses())
-	}
-	time.Sleep(cfg.Warmup)
-	mpps := chain.MeasureMpps(cfg.Window)
-	return MultiNodeRow{
-		VMs: vms, Mode: mode, Mpps: mpps,
-		Bypasses: cluster.BypassCount(),
-		Segments: chain.Segments(),
-	}, nil
-}
-
-// RunMultiNode sweeps split-chain lengths for both modes.
-func RunMultiNode(vmCounts []int, cfg ExperimentConfig) ([]MultiNodeRow, error) {
-	var rows []MultiNodeRow
-	for _, vms := range vmCounts {
-		for _, mode := range []Mode{ModeVanilla, ModeHighway} {
-			r, err := RunMultiNodePoint(vms, mode, cfg)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
+	err = runPoint(cfg, "multinode",
+		func() (*Cluster, error) {
+			return StartCluster(ClusterConfig{Config: cfg.hostConfig(mode), Nodes: []string{"node-a", "node-b"}})
+		},
+		func(cl *Cluster) (*SplitChain, error) {
+			return cl.DeploySplitChain(vms-2, nil, ChainOptions{Flows: cfg.Flows})
+		},
+		func(cl *Cluster, ch *SplitChain, mpps float64) error {
+			row = MultiNodeRow{VMs: vms, Mode: mode, Mpps: mpps, Bypasses: cl.BypassCount(), Segments: ch.Segments()}
+			return nil
+		})
+	return row, err
 }
 
 // WireLatencyRow is one point of the cross-node propagation-delay sweep:
@@ -239,63 +233,35 @@ type WireLatencyRow struct {
 // propagation delay (ClusterConfig.WireLatency): throughput and one-way
 // latency together, under bidirectional load. The chain crosses the trunk
 // once, so every end-to-end path pays the delay exactly once per direction.
-func RunWireLatencyPoint(vms int, wireLat time.Duration, mode Mode, cfg ExperimentConfig) (WireLatencyRow, error) {
+// The wire delay adds a mode-independent floor, so the highway's relative
+// latency advantage shrinks as propagation dominates — but its throughput
+// advantage survives untouched.
+func RunWireLatencyPoint(vms int, wireLat time.Duration, mode Mode, cfg ExperimentConfig) (row WireLatencyRow, err error) {
 	cfg.fill()
 	if vms < 2 {
-		return WireLatencyRow{}, fmt.Errorf("wlatency: need >= 2 VMs, got %d", vms)
+		return row, fmt.Errorf("wlatency: need >= 2 VMs, got %d", vms)
 	}
-	cluster, err := StartCluster(ClusterConfig{
-		Config:      Config{Mode: mode, NumPMDs: cfg.NumPMDs, EMCDisabled: cfg.EMCDisabled, SMCDisabled: cfg.SMCDisabled},
-		Nodes:       []string{"node-a", "node-b"},
-		WireLatency: wireLat,
-	})
-	if err != nil {
-		return WireLatencyRow{}, err
-	}
-	defer cluster.Stop()
-	chain, err := cluster.DeploySplitChain(vms-2, nil, ChainOptions{Flows: cfg.Flows, Timestamp: true})
-	if err != nil {
-		return WireLatencyRow{}, err
-	}
-	defer chain.Stop()
-	if mode == ModeHighway && !cluster.WaitBypasses(chain.ExpectedBypasses()) {
-		return WireLatencyRow{}, fmt.Errorf("wlatency: bypasses not established (%d live, want %d)",
-			cluster.BypassCount(), chain.ExpectedBypasses())
-	}
-	time.Sleep(cfg.Warmup)
-	chain.ResetWindow()
-	time.Sleep(cfg.Window)
-	return WireLatencyRow{
-		WireLatency: wireLat,
-		VMs:         vms,
-		Mode:        mode,
-		Mpps:        chain.RatePps() / 1e6,
-		P50:         chain.LatencyQuantile(0.50),
-		P99:         chain.LatencyQuantile(0.99),
-		Samples:     chain.LatencySamples(),
-	}, nil
-}
-
-// RunWireLatency sweeps the trunk propagation delay over a fixed split
-// chain for both modes (ROADMAP's cross-node latency experiment). The
-// expectation: the wire delay adds a mode-independent floor, so the
-// highway's relative latency advantage shrinks as propagation dominates —
-// but its throughput advantage survives untouched.
-func RunWireLatency(vms int, latencies []time.Duration, cfg ExperimentConfig) ([]WireLatencyRow, error) {
-	var rows []WireLatencyRow
-	for _, lat := range latencies {
-		for _, mode := range []Mode{ModeVanilla, ModeHighway} {
-			r, err := RunWireLatencyPoint(vms, lat, mode, cfg)
-			if err != nil {
-				return rows, err
+	err = runPoint(cfg, "wlatency",
+		func() (*Cluster, error) {
+			return StartCluster(ClusterConfig{Config: cfg.hostConfig(mode), Nodes: []string{"node-a", "node-b"}, WireLatency: wireLat})
+		},
+		func(cl *Cluster) (*SplitChain, error) {
+			return cl.DeploySplitChain(vms-2, nil, ChainOptions{Flows: cfg.Flows, Timestamp: true})
+		},
+		func(_ *Cluster, ch *SplitChain, mpps float64) error {
+			row = WireLatencyRow{
+				WireLatency: wireLat, VMs: vms, Mode: mode, Mpps: mpps,
+				P50:     ch.LatencyQuantile(0.50),
+				P99:     ch.LatencyQuantile(0.99),
+				Samples: ch.LatencySamples(),
 			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
+			return nil
+		})
+	return row, err
 }
 
-// LatencyRow is one point of the latency experiment (E3).
+// LatencyRow is one point of the latency experiment (E3; the paper reports
+// ~80% improvement at 8 VMs).
 type LatencyRow struct {
 	VMs     int
 	Mode    Mode
@@ -307,51 +273,27 @@ type LatencyRow struct {
 
 // RunLatencyPoint measures one-way latency through a memory-only chain of
 // vms total VMs under bidirectional load.
-func RunLatencyPoint(vms int, mode Mode, cfg ExperimentConfig) (LatencyRow, error) {
+func RunLatencyPoint(vms int, mode Mode, cfg ExperimentConfig) (row LatencyRow, err error) {
 	cfg.fill()
 	if vms < 2 {
-		return LatencyRow{}, fmt.Errorf("latency: need >= 2 VMs, got %d", vms)
+		return row, fmt.Errorf("latency: need >= 2 VMs, got %d", vms)
 	}
-	node, err := Start(Config{Mode: mode, NumPMDs: cfg.NumPMDs, EMCDisabled: cfg.EMCDisabled, SMCDisabled: cfg.SMCDisabled})
-	if err != nil {
-		return LatencyRow{}, err
-	}
-	defer node.Stop()
-	chain, err := node.DeployBidirChain(vms-2, ChainOptions{Flows: cfg.Flows, Timestamp: true})
-	if err != nil {
-		return LatencyRow{}, err
-	}
-	defer chain.Stop()
-	if mode == ModeHighway && !node.WaitBypasses(chain.ExpectedBypasses()) {
-		return LatencyRow{}, fmt.Errorf("latency: bypasses not established")
-	}
-	time.Sleep(cfg.Warmup)
-	chain.ResetWindow()
-	time.Sleep(cfg.Window)
-	return LatencyRow{
-		VMs:     vms,
-		Mode:    mode,
-		Mean:    chain.LatencyMean(),
-		P50:     chain.LatencyQuantile(0.50),
-		P99:     chain.LatencyQuantile(0.99),
-		Samples: chain.LatencySamples(),
-	}, nil
-}
-
-// RunLatency sweeps chain lengths for both modes (experiment E3; the paper
-// reports ~80% improvement at 8 VMs).
-func RunLatency(vmCounts []int, cfg ExperimentConfig) ([]LatencyRow, error) {
-	var rows []LatencyRow
-	for _, vms := range vmCounts {
-		for _, mode := range []Mode{ModeVanilla, ModeHighway} {
-			r, err := RunLatencyPoint(vms, mode, cfg)
-			if err != nil {
-				return rows, err
+	err = runPoint(cfg, "latency",
+		func() (*Node, error) { return Start(cfg.hostConfig(mode)) },
+		func(n *Node) (*Chain, error) {
+			return n.DeployBidirChain(vms-2, ChainOptions{Flows: cfg.Flows, Timestamp: true})
+		},
+		func(_ *Node, ch *Chain, _ float64) error {
+			row = LatencyRow{
+				VMs: vms, Mode: mode,
+				Mean:    ch.LatencyMean(),
+				P50:     ch.LatencyQuantile(0.50),
+				P99:     ch.LatencyQuantile(0.99),
+				Samples: ch.LatencySamples(),
 			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
+			return nil
+		})
+	return row, err
 }
 
 // SetupRow summarizes the bypass establishment latency experiment (E4).
@@ -424,6 +366,164 @@ func RunSetupTime(links int, hotplug, config time.Duration) (SetupRow, error) {
 	return row, nil
 }
 
+// rig is the bare-switch traffic harness under the flowscale, pmdscale and
+// conntrack arms: a stopped vSwitch with a packet pool and two dpdkr ports
+// attached, the generator (id 1) and the sink (id 2). An arm adds its own
+// ports and rules, then run starts the switch, a sink goroutine draining
+// port 2 and a batched generator feeding port 1, and measure reads one
+// window of delivered Mpps and datapath stats.
+type rig struct {
+	sw        *vswitch.Switch
+	pool      *mempool.Pool
+	gen, sink *dpdkr.PMD
+
+	stop      atomic.Bool
+	wg        sync.WaitGroup
+	delivered atomic.Uint64
+	closed    sync.Once
+}
+
+// Offsets into the generator's untagged Ethernet + IPv4 + UDP frame that
+// the per-frame rewrites patch.
+const (
+	srcIPOff   = pkt.EthernetLen + 12
+	srcPortOff = pkt.EthernetLen + pkt.IPv4MinLen
+)
+
+// newRig builds the stopped switch and attaches the generator port, with
+// genQueues RSS queues, and the sink port.
+func newRig(cfg vswitch.Config, genQueues int) (*rig, error) {
+	r := &rig{sw: vswitch.New(cfg), pool: mempool.MustNew(mempool.Config{Capacity: 4096})}
+	var err error
+	if r.gen, err = r.attach(1, "gen", genQueues); err != nil {
+		return nil, err
+	}
+	if r.sink, err = r.attach(2, "sink", 1); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// attach plugs a fresh dpdkr port into the switch and returns its guest
+// side.
+func (r *rig) attach(id uint32, name string, queues int) (*dpdkr.PMD, error) {
+	port, guest, err := dpdkr.NewPortMQ(id, name, 1024, queues)
+	if err != nil {
+		return nil, err
+	}
+	return guest, r.sw.AddPort(port)
+}
+
+// forward installs the rule that sends everything arriving on port from to
+// port to.
+func (r *rig) forward(from, to uint32) {
+	r.sw.Table().Add(10, flow.MatchInPort(from), flow.Actions{flow.Output(to)}, 0)
+}
+
+// spawn runs body over and over on its own goroutine until the rig closes.
+func (r *rig) spawn(body func()) {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		for !r.stop.Load() {
+			body()
+		}
+	}()
+}
+
+// run starts the switch, the sink and the generator. Every generated frame
+// is the UDP frame spec describes, passed through rewrite just before its
+// batch is sent. The rewrites do not refresh the UDP checksum, so the
+// template carries none (0 = "no checksum" in UDP).
+func (r *rig) run(spec pkt.UDPSpec, rewrite func(fb []byte)) error {
+	raw := make([]byte, 256)
+	frameLen, err := pkt.BuildUDP(raw, spec)
+	if err != nil {
+		return err
+	}
+	raw[srcPortOff+6], raw[srcPortOff+7] = 0, 0
+	if err := r.sw.Start(); err != nil {
+		return err
+	}
+	out := make([]*mempool.Buf, 64)
+	r.spawn(func() {
+		n := r.sink.Rx(out)
+		if n == 0 {
+			runtime.Gosched()
+			return
+		}
+		r.delivered.Add(uint64(n))
+		mempool.FreeBatch(out[:n])
+	})
+	bufs := make([]*mempool.Buf, 32)
+	r.spawn(func() {
+		got := r.pool.GetBatch(bufs)
+		if got == 0 {
+			runtime.Gosched()
+			return
+		}
+		for _, b := range bufs[:got] {
+			b.SetBytes(raw[:frameLen])
+			rewrite(b.Bytes())
+		}
+		if sent := r.gen.Tx(bufs[:got]); sent < got {
+			mempool.FreeBatch(bufs[sent:got])
+			runtime.Gosched()
+		}
+	})
+	return nil
+}
+
+// measure waits out warmup, then runs one window: the sink's delivered
+// rate in Mpps, and the switch's DatapathStats delta over the same window
+// (the tier counters and PMD loads are atomics, safe to read live), so the
+// figures are steady state rather than blurred by warm-up misses and cold
+// caches.
+func (r *rig) measure(warmup, window time.Duration) (float64, vswitch.DatapathStats) {
+	time.Sleep(warmup)
+	pre := r.sw.DatapathStats()
+	base := r.delivered.Load()
+	t0 := time.Now()
+	time.Sleep(window)
+	got := r.delivered.Load() - base
+	elapsed := time.Since(t0)
+	return float64(got) / elapsed.Seconds() / 1e6, r.sw.DatapathStats().Delta(pre)
+}
+
+// close stops the traffic goroutines, then the switch. Idempotent.
+func (r *rig) close() {
+	r.closed.Do(func() {
+		r.stop.Store(true)
+		r.wg.Wait()
+		r.sw.Stop()
+	})
+}
+
+// tierShares splits a window's lookups over the lookup hierarchy, in
+// percent of all lookups: EMC hit, SMC hit, within-batch dedup, and full
+// classifier walk (hit or miss).
+type tierShares struct{ EMC, SMC, Dedup, Cls float64 }
+
+func tiers(st vswitch.DatapathStats) tierShares {
+	lookups := st.EMC.Hits + st.SMC.Hits + st.DedupHits + st.ClassifierHits + st.ClassifierMisses
+	if lookups == 0 {
+		return tierShares{}
+	}
+	pct := func(v uint64) float64 { return 100 * float64(v) / float64(lookups) }
+	return tierShares{
+		EMC:   pct(st.EMC.Hits),
+		SMC:   pct(st.SMC.Hits),
+		Dedup: pct(st.DedupHits),
+		Cls:   pct(st.ClassifierHits + st.ClassifierMisses),
+	}
+}
+
+// setSrcPort rewrites a generated frame's UDP source port.
+func setSrcPort(fb []byte, p uint16) {
+	fb[srcPortOff] = byte(p >> 8)
+	fb[srcPortOff+1] = byte(p)
+}
+
 // FlowScaleRow is one point of the flow-scale experiment: steady traffic
 // over a given number of distinct 5-tuples, optionally under flow-table
 // delete churn, with the per-tier resolution breakdown of the lookup
@@ -465,6 +565,45 @@ func churnVictims(n int) ([]flow.FlowSpec, []flow.Match) {
 	return specs, matches
 }
 
+// flowScalePorts returns the flowscale generator's source-port sequence
+// over `flows` distinct flows. Uniform mode (skew <= 1) cycles the set;
+// Zipf mode draws heavy-tailed traffic where rank 0 is the biggest elephant
+// and the cold half of the ranks is replaced by ONE-SHOT mice — fresh
+// ephemeral ports that never repeat, like short-lived connections. One-shot
+// mice are what make unconditional EMC insertion hurt: each claims a cache
+// slot it will never use again, evicting an elephant to do so.
+func flowScalePorts(flows int, skew float64) func() uint16 {
+	if skew <= 1 || flows <= 1 {
+		seq := 0
+		return func() uint16 {
+			fp := uint16(seq % flows)
+			seq++
+			return fp
+		}
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(42)), skew, 1, uint64(flows-1))
+	mouse := flows // one-shot mice cycle the port space above the elephants
+	return func() uint16 {
+		r := int(zipf.Uint64())
+		// No mouse space is left when the elephants already fill the 16-bit
+		// port axis: fall back to the plain Zipf draw (uint16(flows) would
+		// otherwise alias rank 0).
+		if r < (flows+1)/2 || flows >= 1<<16 {
+			return uint16(r) // persistent elephant
+		}
+		// One-shot mouse from the port space above the elephants. The space
+		// cycles (65536-flows ports), so "one-shot" holds as long as a full
+		// cycle outlives the EMC residence of anything a mouse displaced —
+		// true for the demo configs, which keep flows ≤ 4096.
+		fp := uint16(mouse)
+		mouse++
+		if mouse > 0xffff {
+			mouse = flows
+		}
+		return fp
+	}
+}
+
 // RunFlowScalePoint measures one (distinct flows × churn) point on a bare
 // vSwitch: a generator cycles `flows` distinct UDP 5-tuples (one wildcard
 // rule forwards them all, so every 5-tuple is its own EMC/SMC entry but the
@@ -482,7 +621,7 @@ func RunFlowScalePoint(flows, churnPerSec int, cfg ExperimentConfig) (FlowScaleR
 	if churnPerSec < 0 {
 		return FlowScaleRow{}, fmt.Errorf("flowscale: negative churn rate %d", churnPerSec)
 	}
-	sw := vswitch.New(vswitch.Config{
+	r, err := newRig(vswitch.Config{
 		NumPMDs:          cfg.NumPMDs,
 		EMCDisabled:      cfg.EMCDisabled,
 		EMCEntries:       cfg.EMCEntries,
@@ -490,23 +629,12 @@ func RunFlowScalePoint(flows, churnPerSec int, cfg ExperimentConfig) (FlowScaleR
 		EMCInsertInvProb: cfg.EMCInsertInvProb,
 		// Sweep often: each sweep re-ranks the classifier by observed hits.
 		SweepInterval: 50 * time.Millisecond,
-	})
-	pool := mempool.MustNew(mempool.Config{Capacity: 4096})
-	portGen, pmdGen, err := dpdkr.NewPort(1, "gen", 1024)
+	}, 1)
 	if err != nil {
 		return FlowScaleRow{}, err
 	}
-	portSink, pmdSink, err := dpdkr.NewPort(2, "sink", 1024)
-	if err != nil {
-		return FlowScaleRow{}, err
-	}
-	if err := sw.AddPort(portGen); err != nil {
-		return FlowScaleRow{}, err
-	}
-	if err := sw.AddPort(portSink); err != nil {
-		return FlowScaleRow{}, err
-	}
-	sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
+	defer r.close()
+	r.forward(1, 2)
 
 	// Churn victims: a bounded pool of unrelated flows, deleted at the
 	// requested rate and re-installed in one batch each time the pool runs
@@ -520,201 +648,62 @@ func RunFlowScalePoint(flows, churnPerSec int, cfg ExperimentConfig) (FlowScaleR
 	var victims []flow.Match
 	if churnPerSec > 0 {
 		specs, victims = churnVictims(512)
-		sw.Table().AddBatch(specs)
+		r.sw.Table().AddBatch(specs)
 	}
-	if err := sw.Start(); err != nil {
+	// The UDP source port is the flow axis.
+	next := flowScalePorts(flows, cfg.ZipfSkew)
+	if err := r.run(orchestrator.DefaultTrafficSpec(), func(fb []byte) { setSrcPort(fb, next()) }); err != nil {
 		return FlowScaleRow{}, err
 	}
-
-	raw := make([]byte, 256)
-	frameLen, err := pkt.BuildUDP(raw, orchestrator.DefaultTrafficSpec())
-	if err != nil {
-		sw.Stop()
-		return FlowScaleRow{}, err
-	}
-	// The UDP source port is the flow axis; it sits right after the
-	// Ethernet + minimal IPv4 headers in the untagged template frame. The
-	// rewrite below does not refresh the UDP checksum, so clear it in the
-	// template once (0 = "no checksum" in UDP) and every generated frame
-	// stays well-formed.
-	const srcPortOff = pkt.EthernetLen + pkt.IPv4MinLen
-	raw[srcPortOff+6] = 0
-	raw[srcPortOff+7] = 0
-
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		delivered atomic.Uint64
-	)
-	// Sink: drain the far port and return buffers to the pool.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		out := make([]*mempool.Buf, 64)
-		for !stop.Load() {
-			n := pmdSink.Rx(out)
-			if n == 0 {
-				runtime.Gosched()
-				continue
-			}
-			delivered.Add(uint64(n))
-			mempool.FreeBatch(out[:n])
-		}
-	}()
-	// Generator: blast batches, rotating the 5-tuple through `flows`
-	// distinct source ports. Uniform mode cycles the set; Zipf mode draws
-	// heavy-tailed traffic where rank 0 is the biggest elephant and the
-	// cold half of the ranks is replaced by ONE-SHOT mice — fresh ephemeral
-	// ports that never repeat, like short-lived connections. One-shot mice
-	// are what make unconditional EMC insertion hurt: each claims a cache
-	// slot it will never use again, evicting an elephant to do so.
-	var zipf *rand.Zipf
-	if cfg.ZipfSkew > 1 && flows > 1 {
-		zipf = rand.NewZipf(rand.New(rand.NewSource(42)), cfg.ZipfSkew, 1, uint64(flows-1))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		bufs := make([]*mempool.Buf, 32)
-		seq := 0
-		mouse := flows // one-shot mice cycle the port space above the elephants
-		for !stop.Load() {
-			got := pool.GetBatch(bufs)
-			if got == 0 {
-				runtime.Gosched()
-				continue
-			}
-			for i := 0; i < got; i++ {
-				b := bufs[i]
-				b.SetBytes(raw[:frameLen])
-				var fp uint16
-				if zipf != nil {
-					r := int(zipf.Uint64())
-					// No mouse space is left when the elephants already fill
-					// the 16-bit port axis: fall back to the plain Zipf draw
-					// (uint16(flows) would otherwise alias rank 0).
-					if r < (flows+1)/2 || flows >= 1<<16 {
-						fp = uint16(r) // persistent elephant
-					} else {
-						// One-shot mouse from the port space above the
-						// elephants. The space cycles (65536-flows ports), so
-						// "one-shot" holds as long as a full cycle outlives
-						// the EMC residence of anything a mouse displaced —
-						// true for the demo configs, which keep flows ≤ 4096.
-						fp = uint16(mouse)
-						mouse++
-						if mouse > 0xffff {
-							mouse = flows
-						}
-					}
-				} else {
-					fp = uint16(seq % flows)
-					seq++
-				}
-				fb := b.Bytes()
-				fb[srcPortOff] = byte(fp >> 8)
-				fb[srcPortOff+1] = byte(fp)
-			}
-			sent := pmdGen.Tx(bufs[:got])
-			if sent < got {
-				mempool.FreeBatch(bufs[sent:got])
-				runtime.Gosched()
-			}
-		}
-	}()
 	// Churner: delete pre-installed unrelated flows at churnPerSec, paced
 	// in 1 ms quanta (a per-delete sleep undershoots badly once the
 	// interval drops below the scheduler's sleep granularity), restocking
-	// the victim pool when it runs dry.
+	// the victim pool when it runs dry. Catch-up bursts are capped: after a
+	// long deschedule (normal on the 1-core hosts) the backlog is dropped
+	// rather than executed as a rebuild storm that would stall the datapath
+	// for tens of ms. The achieved rate therefore saturates around 32k/s;
+	// the sweep's rates sit far below that.
 	if churnPerSec > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Catch-up bursts are capped: after a long deschedule (normal
-			// on the 1-core hosts) the backlog is dropped rather than
-			// executed as a rebuild storm that would stall the datapath for
-			// tens of ms. The achieved rate therefore saturates around
-			// 32k/s; the sweep's rates sit far below that.
-			const quantum = time.Millisecond
-			const burstCap = 32
-			start := time.Now()
-			done := 0
-			next := 0
-			for !stop.Load() {
-				due := int(time.Since(start).Seconds() * float64(churnPerSec))
-				if due-done > burstCap {
-					done = due - burstCap
-				}
-				for ; done < due && !stop.Load(); done++ {
-					if next == len(victims) {
-						sw.Table().AddBatch(specs)
-						next = 0
-					}
-					sw.Table().DeleteStrict(5, victims[next])
-					next++
-				}
-				time.Sleep(quantum)
+		const quantum = time.Millisecond
+		const burstCap = 32
+		start := time.Now()
+		done, nextVictim := 0, 0
+		r.spawn(func() {
+			due := int(time.Since(start).Seconds() * float64(churnPerSec))
+			if due-done > burstCap {
+				done = due - burstCap
 			}
-		}()
+			for ; done < due && !r.stop.Load(); done++ {
+				if nextVictim == len(victims) {
+					r.sw.Table().AddBatch(specs)
+					nextVictim = 0
+				}
+				r.sw.Table().DeleteStrict(5, victims[nextVictim])
+				nextVictim++
+			}
+			time.Sleep(quantum)
+		})
 	}
 
-	time.Sleep(cfg.Warmup)
-	// Windowed tier stats: snapshot-and-diff around the measurement window
-	// (cache counters are per-PMD atomics, safe to read live), so the
-	// reported split is steady state — warm-up misses and cold caches do
-	// not blur it.
-	pre := sw.DatapathStats()
-	base := delivered.Load()
-	t0 := time.Now()
-	time.Sleep(cfg.Window)
-	got := delivered.Load() - base
-	elapsed := time.Since(t0)
-	st := sw.DatapathStats().Delta(pre)
-	stop.Store(true)
-	wg.Wait()
-	sw.Stop()
-	lookups := st.EMC.Hits + st.SMC.Hits + st.DedupHits + st.ClassifierHits + st.ClassifierMisses
-	pct := func(v uint64) float64 {
-		if lookups == 0 {
-			return 0
-		}
-		return 100 * float64(v) / float64(lookups)
-	}
+	mpps, st := r.measure(cfg.Warmup, cfg.Window)
+	r.close()
 	busy := make([]float64, len(st.PMDs))
 	for i, l := range st.PMDs {
 		busy[i] = l.BusyFraction()
 	}
+	t := tiers(st)
 	return FlowScaleRow{
 		Flows:        flows,
 		ChurnPerSec:  churnPerSec,
-		Mpps:         float64(got) / elapsed.Seconds() / 1e6,
-		EMCPct:       pct(st.EMC.Hits),
-		SMCPct:       pct(st.SMC.Hits),
-		DedupPct:     pct(st.DedupHits),
-		ClsPct:       pct(st.ClassifierHits + st.ClassifierMisses),
+		Mpps:         mpps,
+		EMCPct:       t.EMC,
+		SMCPct:       t.SMC,
+		DedupPct:     t.Dedup,
+		ClsPct:       t.Cls,
 		ParseErrors:  st.ParseErrors,
 		EMCConflicts: st.EMC.Conflicts,
 		PMDBusy:      busy,
 	}, nil
-}
-
-// RunFlowScale sweeps distinct-flow counts crossed with churn rates — the
-// experiment that exposes the tiered lookup hierarchy: EMC absorbs small
-// flow counts, the SMC tier takes over past the EMC's reach, and the
-// classifier catches the tail; delete churn barely dents the curve thanks
-// to death-mark invalidation.
-func RunFlowScale(flowCounts, churnRates []int, cfg ExperimentConfig) ([]FlowScaleRow, error) {
-	var rows []FlowScaleRow
-	for _, churn := range churnRates {
-		for _, flows := range flowCounts {
-			r, err := RunFlowScalePoint(flows, churn, cfg)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
 }
 
 // PMDScaleRow is one point of the multi-PMD scaling experiment: a single
@@ -732,6 +721,12 @@ type PMDScaleRow struct {
 	SpreadAfter  float64
 	Moves        uint64
 }
+
+// pmdScaleQueues is the RSS queue count of the hot port in the pmdscale
+// sweep's multi-queue column: its traffic fans over this many
+// independently homed queues, which is what gives extra PMDs something to
+// own.
+const pmdScaleQueues = 4
 
 // pmdSpread is max−min busy fraction across a windowed PMD load sample.
 func pmdSpread(win []vswitch.PMDLoad) float64 {
@@ -751,21 +746,6 @@ func pmdSpread(win []vswitch.PMDLoad) float64 {
 	return hi - lo
 }
 
-// pmdLoadWindow samples PMD loads twice, dt apart, and returns the deltas.
-func pmdLoadWindow(sw *vswitch.Switch, dt time.Duration) []vswitch.PMDLoad {
-	pre := sw.PMDLoads()
-	time.Sleep(dt)
-	post := sw.PMDLoads()
-	win := make([]vswitch.PMDLoad, len(post))
-	for i, l := range post {
-		if i < len(pre) {
-			l = l.Delta(pre[i])
-		}
-		win[i] = l
-	}
-	return win
-}
-
 // RunPMDScalePoint measures one (PMDs × queues × balancer) point: a bare
 // vSwitch with a single multi-queue generator port, all of whose RX queues
 // are first forced onto PMD 0 — the residue-clustering pathology made
@@ -777,111 +757,36 @@ func RunPMDScalePoint(pmds, queues int, balance bool, cfg ExperimentConfig) (PMD
 	if pmds < 1 || queues < 1 {
 		return PMDScaleRow{}, fmt.Errorf("pmdscale: need pmds >= 1 and queues >= 1")
 	}
-	sw := vswitch.New(vswitch.Config{NumPMDs: pmds})
-	pool := mempool.MustNew(mempool.Config{Capacity: 4096})
-	portGen, pmdGen, err := dpdkr.NewPortMQ(1, "gen", 1024, queues)
+	r, err := newRig(vswitch.Config{NumPMDs: pmds}, queues)
 	if err != nil {
 		return PMDScaleRow{}, err
 	}
-	portSink, pmdSink, err := dpdkr.NewPort(2, "sink", 1024)
-	if err != nil {
-		return PMDScaleRow{}, err
-	}
-	if err := sw.AddPort(portGen); err != nil {
-		return PMDScaleRow{}, err
-	}
-	if err := sw.AddPort(portSink); err != nil {
-		return PMDScaleRow{}, err
-	}
-	sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(2)}, 0)
-	if err := sw.Start(); err != nil {
-		return PMDScaleRow{}, err
-	}
+	defer r.close()
+	r.forward(1, 2)
 
 	// Skew: home every gen queue on PMD 0 (the sink queue may stay where the
 	// initial assignment put it — one cold single-queue port does not tilt
 	// the comparison).
 	for q := 0; q < queues; q++ {
-		if err := sw.MoveQueue(1, q, 0); err != nil {
-			sw.Stop()
+		if err := r.sw.MoveQueue(1, q, 0); err != nil {
 			return PMDScaleRow{}, err
 		}
 	}
-
-	raw := make([]byte, 256)
-	frameLen, err := pkt.BuildUDP(raw, orchestrator.DefaultTrafficSpec())
-	if err != nil {
-		sw.Stop()
-		return PMDScaleRow{}, err
-	}
-	const srcPortOff = pkt.EthernetLen + pkt.IPv4MinLen
-	raw[srcPortOff+6] = 0 // zero UDP checksum; the rewrite below won't refresh it
-	raw[srcPortOff+7] = 0
-
 	// Enough distinct flows that every queue receives a share of the hash
 	// space with overwhelming probability.
-	flows := cfg.Flows
-	if flows < 8*queues {
-		flows = 8 * queues
+	next := flowScalePorts(max(cfg.Flows, 8*queues), 0)
+	if err := r.run(orchestrator.DefaultTrafficSpec(), func(fb []byte) { setSrcPort(fb, next()) }); err != nil {
+		return PMDScaleRow{}, err
 	}
 
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		delivered atomic.Uint64
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		out := make([]*mempool.Buf, 64)
-		for !stop.Load() {
-			n := pmdSink.Rx(out)
-			if n == 0 {
-				runtime.Gosched()
-				continue
-			}
-			delivered.Add(uint64(n))
-			mempool.FreeBatch(out[:n])
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		bufs := make([]*mempool.Buf, 32)
-		seq := 0
-		for !stop.Load() {
-			got := pool.GetBatch(bufs)
-			if got == 0 {
-				runtime.Gosched()
-				continue
-			}
-			for i := 0; i < got; i++ {
-				b := bufs[i]
-				b.SetBytes(raw[:frameLen])
-				fp := uint16(seq % flows)
-				seq++
-				fb := b.Bytes()
-				fb[srcPortOff] = byte(fp >> 8)
-				fb[srcPortOff+1] = byte(fp)
-			}
-			sent := pmdGen.Tx(bufs[:got])
-			if sent < got {
-				mempool.FreeBatch(bufs[sent:got])
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	time.Sleep(cfg.Warmup)
-	spreadBefore := pmdSpread(pmdLoadWindow(sw, cfg.Window))
-
+	_, before := r.measure(cfg.Warmup, cfg.Window)
 	var moves uint64
 	if balance && pmds > 1 {
 		// Drive convergence deterministically: sample-and-rebalance at the
 		// balancer's own cadence until a window stays under threshold (or a
 		// bounded number of samples passes — convergence is asserted by the
 		// caller from SpreadAfter, not assumed here).
-		bal := core.NewBalancer(sw, core.BalancerConfig{})
+		bal := core.NewBalancer(r.sw, core.BalancerConfig{})
 		for i := 0; i < 20; i++ {
 			time.Sleep(100 * time.Millisecond)
 			bal.RebalanceOnce()
@@ -893,22 +798,15 @@ func RunPMDScalePoint(pmds, queues int, balance bool, cfg ExperimentConfig) (PMD
 		}
 		moves = bal.Stats().Moves
 	}
-
-	base := delivered.Load()
-	t0 := time.Now()
-	spreadAfter := pmdSpread(pmdLoadWindow(sw, cfg.Window))
-	got := delivered.Load() - base
-	elapsed := time.Since(t0)
-	stop.Store(true)
-	wg.Wait()
-	sw.Stop()
+	mpps, after := r.measure(0, cfg.Window)
+	r.close()
 	return PMDScaleRow{
 		PMDs:         pmds,
 		Queues:       queues,
 		Balanced:     balance,
-		Mpps:         float64(got) / elapsed.Seconds() / 1e6,
-		SpreadBefore: spreadBefore,
-		SpreadAfter:  spreadAfter,
+		Mpps:         mpps,
+		SpreadBefore: pmdSpread(before.PMDs),
+		SpreadAfter:  pmdSpread(after.PMDs),
 		Moves:        moves,
 	}, nil
 }
@@ -919,13 +817,9 @@ func RunPMDScalePoint(pmds, queues int, balance bool, cfg ExperimentConfig) (PMD
 // shows why the balancer is (all queues pinned to PMD 0), and the balanced
 // column shows the two mechanisms composing.
 func RunPMDScale(cfg ExperimentConfig) ([]PMDScaleRow, error) {
-	cfg.fill()
 	var rows []PMDScaleRow
 	for _, pmds := range []int{1, 2, 4} {
-		for _, queues := range []int{1, cfg.NumQueues} {
-			if queues == 1 && cfg.NumQueues == 1 {
-				continue // axis collapsed; avoid a duplicate point
-			}
+		for _, queues := range []int{1, pmdScaleQueues} {
 			for _, balance := range []bool{false, true} {
 				r, err := RunPMDScalePoint(pmds, queues, balance, cfg)
 				if err != nil {
@@ -998,7 +892,7 @@ func RunFabricThroughputPoint(vms, ecmpWidth int, perTrunkRate float64, cfg Expe
 		return FabricRow{}, fmt.Errorf("fabric: need >= 3 VMs for a 3-node chain, got %d", vms)
 	}
 	cluster, err := StartCluster(ClusterConfig{
-		Config:    Config{Mode: ModeVanilla, NumPMDs: cfg.NumPMDs},
+		Config:    cfg.hostConfig(ModeVanilla),
 		Nodes:     []string{"node-a", "node-b", "node-c"},
 		TrunkRate: perTrunkRate,
 		Fabric:    FabricConfig{Mode: FabricMesh, ECMPWidth: ecmpWidth},
@@ -1033,7 +927,7 @@ func RunFabricLatencyPoint(vms int, mode FabricMode, wireLat time.Duration, cfg 
 		return FabricRow{}, fmt.Errorf("fabric: need >= 2 VMs, got %d", vms)
 	}
 	cluster, err := StartCluster(ClusterConfig{
-		Config:      Config{Mode: ModeVanilla, NumPMDs: cfg.NumPMDs},
+		Config:      cfg.hostConfig(ModeVanilla),
 		Nodes:       []string{"spine", "leaf-a", "leaf-b"},
 		TrunkRate:   -1,
 		WireLatency: wireLat,
@@ -1101,7 +995,7 @@ func RunFabricQoS(perTrunkRate float64, cfg ExperimentConfig) (FabricQoSRow, err
 	weights[0] = 1
 	weights[6] = 2
 	cluster, err := StartCluster(ClusterConfig{
-		Config:    Config{Mode: ModeVanilla, NumPMDs: cfg.NumPMDs},
+		Config:    cfg.hostConfig(ModeVanilla),
 		Nodes:     []string{"node-a", "node-b"},
 		TrunkRate: perTrunkRate,
 		Fabric:    FabricConfig{PCPWeights: weights},
@@ -1199,61 +1093,52 @@ func healConverge(cluster *Cluster) (passes, repairs int, converge time.Duration
 // in sequence — a trunk of a bundle killed, the middle node's steering
 // rules wiped, the middle node's vSwitch restarted — and after each one the
 // declarative reconciler alone repairs the cluster back to full throughput.
-func RunHeal(cfg ExperimentConfig) ([]HealRow, error) {
+func RunHeal(cfg ExperimentConfig) (rows []HealRow, err error) {
 	cfg.fill()
 	nodes := []string{"node-a", "node-b", "node-c"}
-	cluster, err := StartCluster(ClusterConfig{
-		Config: Config{Mode: ModeHighway, NumPMDs: cfg.NumPMDs},
-		Nodes:  nodes,
-		Fabric: FabricConfig{ECMPWidth: 2},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.Stop()
-	chain, err := cluster.DeploySplitChain(6, nodes, ChainOptions{Flows: cfg.Flows})
-	if err != nil {
-		return nil, err
-	}
-	defer chain.Stop()
-	if !cluster.WaitBypasses(chain.ExpectedBypasses()) {
-		return nil, fmt.Errorf("heal: bypasses not established (%d live, want %d)",
-			cluster.BypassCount(), chain.ExpectedBypasses())
-	}
-	time.Sleep(cfg.Warmup)
-	base := chain.MeasureMpps(cfg.Window)
-
-	mid := nodes[1]
-	faults := []struct {
-		name   string
-		inject func() error
-	}{
-		{"fail-trunk", func() error { return cluster.FailTrunk(nodes[0], mid, 0) }},
-		{"wipe-rules", func() error { _, werr := cluster.WipeRules(mid); return werr }},
-		{"restart-vswitch", func() error { return cluster.RestartVSwitch(mid) }},
-	}
-	var rows []HealRow
-	for _, f := range faults {
-		if err := f.inject(); err != nil {
-			return rows, fmt.Errorf("heal: inject %s: %w", f.name, err)
-		}
-		passes, repairs, converge, err := healConverge(cluster)
-		if err != nil {
-			return rows, fmt.Errorf("heal: %s: %w", f.name, err)
-		}
-		// Rules are back; give the detector time to re-establish any
-		// bypasses the fault tore down before measuring.
-		if !cluster.WaitBypasses(chain.ExpectedBypasses()) {
-			return rows, fmt.Errorf("heal: %s: bypasses not re-established (%d live, want %d)",
-				f.name, cluster.BypassCount(), chain.ExpectedBypasses())
-		}
-		time.Sleep(cfg.Warmup)
-		rows = append(rows, HealRow{
-			Fault: f.name, Passes: passes, Repairs: repairs, Converge: converge,
-			BaseMpps: base, RecoveredMpps: chain.MeasureMpps(cfg.Window),
+	err = runPoint(cfg, "heal",
+		func() (*Cluster, error) {
+			return StartCluster(ClusterConfig{
+				Config: cfg.hostConfig(ModeHighway),
+				Nodes:  nodes,
+				Fabric: FabricConfig{ECMPWidth: 2},
+			})
+		},
+		func(cl *Cluster) (*SplitChain, error) {
+			return cl.DeploySplitChain(6, nodes, ChainOptions{Flows: cfg.Flows})
+		},
+		func(cl *Cluster, chain *SplitChain, base float64) error {
+			mid := nodes[1]
+			faults := []struct {
+				name   string
+				inject func() error
+			}{
+				{"fail-trunk", func() error { return cl.FailTrunk(nodes[0], mid, 0) }},
+				{"wipe-rules", func() error { _, werr := cl.WipeRules(mid); return werr }},
+				{"restart-vswitch", func() error { return cl.RestartVSwitch(mid) }},
+			}
+			for _, f := range faults {
+				if err := f.inject(); err != nil {
+					return fmt.Errorf("heal: inject %s: %w", f.name, err)
+				}
+				passes, repairs, converge, err := healConverge(cl)
+				if err != nil {
+					return fmt.Errorf("heal: %s: %w", f.name, err)
+				}
+				// Rules are back; the detector re-establishes any bypasses
+				// the fault tore down before the measurement.
+				recovered, err := cfg.steadyMpps("heal: "+f.name, cl, chain)
+				if err != nil {
+					return err
+				}
+				rows = append(rows, HealRow{
+					Fault: f.name, Passes: passes, Repairs: repairs, Converge: converge,
+					BaseMpps: base, RecoveredMpps: recovered,
+				})
+			}
+			return nil
 		})
-	}
-	return rows, nil
+	return rows, err
 }
 
 // MigrateRow is the zero-loss live-migration experiment's result: where the
@@ -1263,7 +1148,7 @@ type MigrateRow struct {
 	VNF           string
 	From, To      string
 	Cutover       time.Duration
-	Drained       bool // old path observed quiet before the drain deadline
+	Drained       bool  // old path observed quiet before the drain deadline
 	Lost          int64 // in-flight delta across the migration; 0 = no loss
 	BaseMpps      float64
 	AfterMpps     float64
@@ -1275,51 +1160,41 @@ type MigrateRow struct {
 // settle before and after the migration, and the generated-minus-received
 // ledger must not change — every packet in flight during the cutover was
 // delivered.
-func RunMigrate(cfg ExperimentConfig) (MigrateRow, error) {
+func RunMigrate(cfg ExperimentConfig) (row MigrateRow, err error) {
 	cfg.fill()
 	nodes := []string{"node-a", "node-b", "node-c"}
-	cluster, err := StartCluster(ClusterConfig{
-		Config:    Config{Mode: ModeHighway, NumPMDs: cfg.NumPMDs},
-		Nodes:     nodes,
-		TrunkRate: -1,
-	})
-	if err != nil {
-		return MigrateRow{}, err
-	}
-	defer cluster.Stop()
-	// Paced ends: the conservation ledger is exact only when the chain is
-	// not saturated (a saturated chain drops at the generator by design).
-	chain, err := cluster.DeploySplitChain(4, nodes[:2], ChainOptions{Flows: cfg.Flows, RatePps: 50_000})
-	if err != nil {
-		return MigrateRow{}, err
-	}
-	defer chain.Stop()
-	if !cluster.WaitBypasses(chain.ExpectedBypasses()) {
-		return MigrateRow{}, fmt.Errorf("migrate: bypasses not established (%d live, want %d)",
-			cluster.BypassCount(), chain.ExpectedBypasses())
-	}
-	time.Sleep(cfg.Warmup)
-	base := chain.MeasureMpps(cfg.Window)
-
-	row := MigrateRow{VNF: "vnf2", From: nodes[0], To: nodes[2], BaseMpps: base}
-	chain.Pause(true)
-	l0 := chain.Settle(2 * time.Second)
-	chain.Pause(false)
-	t0 := time.Now()
-	rep, err := chain.Deployment().Migrate(row.VNF, row.To)
-	if err != nil {
-		return row, fmt.Errorf("migrate: %w", err)
-	}
-	row.Cutover = time.Since(t0)
-	row.Drained = rep.Drained
-	chain.Pause(true)
-	l1 := chain.Settle(2 * time.Second)
-	row.Lost = l1 - l0
-	chain.Pause(false)
-	time.Sleep(cfg.Warmup)
-	row.AfterMpps = chain.MeasureMpps(cfg.Window)
-	row.BypassesAfter = cluster.BypassCount()
-	return row, nil
+	row = MigrateRow{VNF: "vnf2", From: nodes[0], To: nodes[2]}
+	err = runPoint(cfg, "migrate",
+		func() (*Cluster, error) {
+			return StartCluster(ClusterConfig{Config: cfg.hostConfig(ModeHighway), Nodes: nodes, TrunkRate: -1})
+		},
+		// Paced ends: the conservation ledger is exact only when the chain
+		// is not saturated (a saturated chain drops at the generator by
+		// design).
+		func(cl *Cluster) (*SplitChain, error) {
+			return cl.DeploySplitChain(4, nodes[:2], ChainOptions{Flows: cfg.Flows, RatePps: 50_000})
+		},
+		func(cl *Cluster, chain *SplitChain, base float64) error {
+			row.BaseMpps = base
+			lost, err := lossAcross(chain, func() error {
+				t0 := time.Now()
+				rep, err := chain.Deployment().Migrate(row.VNF, row.To)
+				if err != nil {
+					return fmt.Errorf("migrate: %w", err)
+				}
+				row.Cutover = time.Since(t0)
+				row.Drained = rep.Drained
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			row.Lost = lost
+			row.AfterMpps = cfg.measure(chain)
+			row.BypassesAfter = cl.BypassCount()
+			return nil
+		})
+	return row, err
 }
 
 // RebalanceReport is the rolling re-placement experiment's result: the
@@ -1347,11 +1222,7 @@ type RebalanceReport struct {
 func RunRebalance(cfg ExperimentConfig) (RebalanceReport, error) {
 	cfg.fill()
 	nodes := []string{"node-a", "node-b", "node-c"}
-	cluster, err := StartCluster(ClusterConfig{
-		Config:    Config{Mode: ModeHighway, NumPMDs: cfg.NumPMDs},
-		Nodes:     nodes,
-		TrunkRate: -1,
-	})
+	cluster, err := StartCluster(ClusterConfig{Config: cfg.hostConfig(ModeHighway), Nodes: nodes, TrunkRate: -1})
 	if err != nil {
 		return RebalanceReport{}, err
 	}
@@ -1378,42 +1249,34 @@ func RunRebalance(cfg ExperimentConfig) (RebalanceReport, error) {
 		}
 	}
 	rep := RebalanceReport{CrossBefore: chain.Deployment().Crossings()}
-	time.Sleep(cfg.Warmup)
-	rep.BaseMpps = chain.MeasureMpps(cfg.Window)
+	rep.BaseMpps = cfg.measure(chain)
 
-	chain.Pause(true)
-	l0 := chain.Settle(2 * time.Second)
-	chain.Pause(false)
-
-	start := time.Now()
-	reb := cluster.StartRebalancer(RebalanceConfig{Interval: cfg.Window})
-	// Converged when the crossings dropped below the drifted count and the
-	// layout then held still for two full sampling intervals.
-	cross := rep.CrossBefore
-	lastChange := start
-	deadline := start.Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if c := chain.Deployment().Crossings(); c != cross {
-			cross = c
-			lastChange = time.Now()
+	rep.Lost, _ = lossAcross(chain, func() error {
+		start := time.Now()
+		reb := cluster.StartRebalancer(RebalanceConfig{Interval: cfg.Window})
+		// Converged when the crossings dropped below the drifted count and
+		// the layout then held still for two full sampling intervals.
+		cross := rep.CrossBefore
+		lastChange := start
+		deadline := start.Add(60 * time.Second)
+		for time.Now().Before(deadline) {
+			if c := chain.Deployment().Crossings(); c != cross {
+				cross = c
+				lastChange = time.Now()
+			}
+			if cross < rep.CrossBefore && time.Since(lastChange) > 2*cfg.Window {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if cross < rep.CrossBefore && time.Since(lastChange) > 2*cfg.Window {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	reb.Stop()
-	rep.Converge = lastChange.Sub(start)
-	rep.CrossAfter = chain.Deployment().Crossings()
-	rep.Stats = reb.Stats()
-	rep.Moves = reb.Moves()
-
-	chain.Pause(true)
-	l1 := chain.Settle(2 * time.Second)
-	rep.Lost = l1 - l0
-	chain.Pause(false)
-	time.Sleep(cfg.Warmup)
-	rep.AfterMpps = chain.MeasureMpps(cfg.Window)
+		reb.Stop()
+		rep.Converge = lastChange.Sub(start)
+		rep.CrossAfter = chain.Deployment().Crossings()
+		rep.Stats = reb.Stats()
+		rep.Moves = reb.Moves()
+		return nil
+	})
+	rep.AfterMpps = cfg.measure(chain)
 	if n, err := cluster.ReconcileOnce(); err != nil || n != 0 {
 		return rep, fmt.Errorf("rebalance: post-run reconcile: %d repairs, err %v", n, err)
 	}
@@ -1452,8 +1315,10 @@ func runIncastArm(arm string, disabled bool, perTrunkRate float64, cfg Experimen
 	// regime adaptive routing exists for. The congestion gauge saturates
 	// long before the queue does (occupancy threshold plus overflow-drop
 	// evidence), so the signal does not need the queue to fill.
+	host := cfg.hostConfig(ModeVanilla)
+	host.ECMPAdaptiveDisabled = disabled
 	cluster, err := StartCluster(ClusterConfig{
-		Config:    Config{Mode: ModeVanilla, NumPMDs: cfg.NumPMDs, ECMPAdaptiveDisabled: disabled},
+		Config:    host,
 		Nodes:     []string{"spine-1", "spine-2", "leaf-a", "leaf-b"},
 		TrunkRate: perTrunkRate,
 		Fabric: FabricConfig{
@@ -1622,33 +1487,24 @@ func RunConntrackPoint(conns int, cfg ExperimentConfig) (ConntrackRow, error) {
 	}
 	seedRate := float64(conns) / time.Since(t0).Seconds() / 1e6
 
-	sw := vswitch.New(vswitch.Config{NumPMDs: cfg.NumPMDs})
-	sw.AttachConntrack(ct)
-	pool := mempool.MustNew(mempool.Config{Capacity: 4096})
-	portGen, pmdGen, err := dpdkr.NewPort(1, "gen", 1024)
+	// gen → ACL (ports 3/4) → sink.
+	r, err := newRig(vswitch.Config{NumPMDs: cfg.NumPMDs}, 1)
 	if err != nil {
 		return ConntrackRow{}, err
 	}
-	portSink, pmdSink, err := dpdkr.NewPort(2, "sink", 1024)
+	defer r.close()
+	r.sw.AttachConntrack(ct)
+	aclIn, err := r.attach(3, "aclin", 1)
 	if err != nil {
 		return ConntrackRow{}, err
 	}
-	portACLIn, pmdACLIn, err := dpdkr.NewPort(3, "aclin", 1024)
+	aclOut, err := r.attach(4, "aclout", 1)
 	if err != nil {
 		return ConntrackRow{}, err
 	}
-	portACLOut, pmdACLOut, err := dpdkr.NewPort(4, "aclout", 1024)
-	if err != nil {
-		return ConntrackRow{}, err
-	}
-	for _, p := range []*dpdkr.Port{portGen, portSink, portACLIn, portACLOut} {
-		if err := sw.AddPort(p); err != nil {
-			return ConntrackRow{}, err
-		}
-	}
-	sw.Table().Add(10, flow.MatchInPort(1), flow.Actions{flow.Output(3)}, 0)
-	sw.Table().Add(10, flow.MatchInPort(4), flow.Actions{flow.Output(2)}, 0)
-	app, acl, err := vnf.NewACL("acl", pmdACLIn, pmdACLOut, pool, ct, []vnf.ACLRule{{
+	r.forward(1, 3)
+	r.forward(4, 2)
+	app, _, err := vnf.NewACL("acl", aclIn, aclOut, r.pool, ct, []vnf.ACLRule{{
 		Priority: 100,
 		Match:    flow.MatchAll().WithIPProto(pkt.ProtoUDP).WithIPDst(pkt.IP4{10, 99, 0, 1}, 32).WithL4Dst(80),
 		Allow:    true,
@@ -1656,118 +1512,51 @@ func RunConntrackPoint(conns int, cfg ExperimentConfig) (ConntrackRow, error) {
 	if err != nil {
 		return ConntrackRow{}, err
 	}
-	_ = acl
-	if err := sw.Start(); err != nil {
-		return ConntrackRow{}, err
-	}
 	app.Start()
+	defer app.Stop()
 
 	spec := orchestrator.DefaultTrafficSpec()
 	spec.DstIP = pkt.IP4{10, 99, 0, 1}
 	spec.DstPort = 80
-	raw := make([]byte, 256)
-	frameLen, err := pkt.BuildUDP(raw, spec)
+	// The generator rewrites source address and port per frame; neither the
+	// parser nor the ACL verifies L3/L4 checksums, so the IPv4 sum is left
+	// stale.
+	seq, mouse := 0, 0
+	err = r.run(spec, func(fb []byte) {
+		idx := seq % conns
+		if seq%16 == 15 {
+			// Never-seeded tuple: a first-packet classifier walk. The space
+			// above the seeded connections is large enough that it barely
+			// recycles within a window.
+			idx = conns + mouse%(1<<16)
+			mouse++
+		}
+		seq++
+		k := conntrackConnKey(idx)
+		copy(fb[srcIPOff:srcIPOff+4], k.Src[:])
+		setSrcPort(fb, k.SrcPort)
+	})
 	if err != nil {
-		app.Stop()
-		sw.Stop()
 		return ConntrackRow{}, err
 	}
-	// The generator rewrites source address and port per frame; neither the
-	// parser nor the ACL verifies L3/L4 checksums, so clear the UDP
-	// checksum once (0 = "no checksum") and leave the IPv4 sum stale.
-	const srcIPOff = pkt.EthernetLen + 12
-	const srcPortOff = pkt.EthernetLen + pkt.IPv4MinLen
-	raw[srcPortOff+6] = 0
-	raw[srcPortOff+7] = 0
 
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		delivered atomic.Uint64
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		out := make([]*mempool.Buf, 64)
-		for !stop.Load() {
-			n := pmdSink.Rx(out)
-			if n == 0 {
-				runtime.Gosched()
-				continue
-			}
-			delivered.Add(uint64(n))
-			mempool.FreeBatch(out[:n])
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		bufs := make([]*mempool.Buf, 32)
-		seq := 0
-		mouse := 0
-		for !stop.Load() {
-			got := pool.GetBatch(bufs)
-			if got == 0 {
-				runtime.Gosched()
-				continue
-			}
-			for i := 0; i < got; i++ {
-				var idx int
-				if seq%16 == 15 {
-					// Never-seeded tuple: a first-packet classifier walk.
-					// The space above the seeded connections is large
-					// enough that it barely recycles within a window.
-					idx = conns + mouse%(1<<16)
-					mouse++
-				} else {
-					idx = seq % conns
-				}
-				seq++
-				k := conntrackConnKey(idx)
-				b := bufs[i]
-				b.SetBytes(raw[:frameLen])
-				fb := b.Bytes()
-				copy(fb[srcIPOff:srcIPOff+4], k.Src[:])
-				fb[srcPortOff] = byte(k.SrcPort >> 8)
-				fb[srcPortOff+1] = byte(k.SrcPort)
-			}
-			sent := pmdGen.Tx(bufs[:got])
-			if sent < got {
-				mempool.FreeBatch(bufs[sent:got])
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	time.Sleep(cfg.Warmup)
-	pre := sw.DatapathStats()
-	base := delivered.Load()
-	w0 := time.Now()
-	time.Sleep(cfg.Window)
-	got := delivered.Load() - base
-	elapsed := time.Since(w0)
-	st := sw.DatapathStats().Delta(pre)
-	stop.Store(true)
-	wg.Wait()
+	mpps, st := r.measure(cfg.Warmup, cfg.Window)
+	r.close()
 	app.Stop()
-	sw.Stop()
 
+	t := tiers(st)
 	row := ConntrackRow{
 		Conns:            conns,
 		SeedMconnsPerSec: seedRate,
-		Mpps:             float64(got) / elapsed.Seconds() / 1e6,
+		Mpps:             mpps,
+		EMCPct:           t.EMC,
+		SMCPct:           t.SMC,
+		ClsPct:           t.Cls,
 		Live:             ct.Live(),
 	}
-	probes := st.Conntrack.Hits + st.Conntrack.Misses
-	if probes > 0 {
+	if probes := st.Conntrack.Hits + st.Conntrack.Misses; probes > 0 {
 		row.CTHitPct = 100 * float64(st.Conntrack.Hits) / float64(probes)
 		row.CTMissPct = 100 * float64(st.Conntrack.Misses) / float64(probes)
-	}
-	lookups := st.EMC.Hits + st.SMC.Hits + st.DedupHits + st.ClassifierHits + st.ClassifierMisses
-	if lookups > 0 {
-		row.EMCPct = 100 * float64(st.EMC.Hits) / float64(lookups)
-		row.SMCPct = 100 * float64(st.SMC.Hits) / float64(lookups)
-		row.ClsPct = 100 * float64(st.ClassifierHits+st.ClassifierMisses) / float64(lookups)
 	}
 	if row.Live < conns {
 		return row, fmt.Errorf("conntrack: only %d of %d seeded connections still live after the window", row.Live, conns)

@@ -261,6 +261,49 @@ func TestExperimentRunnersSmoke(t *testing.T) {
 	if setup.Min < 3*time.Millisecond {
 		t.Fatalf("emulated delays not reflected: min %v", setup.Min)
 	}
+
+	mn, err := RunMultiNodePoint(4, ModeHighway, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mn.Mpps <= 0 || len(mn.Segments) != 2 || mn.Bypasses == 0 {
+		t.Fatalf("multinode row %+v", mn)
+	}
+	wl, err := RunWireLatencyPoint(4, 50*time.Microsecond, ModeVanilla, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wl.Mpps <= 0 || wl.Samples == 0 || wl.P50 < 50*time.Microsecond {
+		t.Fatalf("wlatency row %+v", wl)
+	}
+
+	// The -exp check datapath gates: clean traffic parses, and the EMC
+	// survives unrelated delete churn.
+	fs, err := RunFlowScalePoint(1024, 500, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Mpps <= 0 || fs.ParseErrors != 0 || fs.EMCPct <= 90 {
+		t.Fatalf("flowscale row %+v", fs)
+	}
+
+	// One queue can live on one PMD only: the balancer has nothing to move.
+	ps, err := RunPMDScalePoint(2, 1, true, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Mpps <= 0 || ps.Moves != 0 {
+		t.Fatalf("pmdscale row %+v", ps)
+	}
+
+	// The point itself fails on a shard-sum mismatch or a lost seed.
+	ct, err := RunConntrackPoint(64<<10, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct.Mpps <= 0 || ct.Live < 64<<10 || ct.CTHitPct <= 0 || ct.CTMissPct <= 0 {
+		t.Fatalf("conntrack row %+v", ct)
+	}
 }
 
 func TestInvalidExperimentParams(t *testing.T) {

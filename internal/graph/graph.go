@@ -35,6 +35,19 @@ func (k Kind) PortCount() int {
 	}
 }
 
+// Stateful reports whether a kind keeps per-connection state (NAT
+// bindings, conntrack entries, backend pins) that a fresh instance would not
+// have. Such a VNF must not be moved by re-instantiation: the replica would
+// start with an empty table and break every established connection.
+func (k Kind) Stateful() bool {
+	switch k {
+	case KindNAT44, KindACL, KindBalancer:
+		return true
+	default:
+		return false
+	}
+}
+
 // VNF is one service-graph node.
 type VNF struct {
 	Name string

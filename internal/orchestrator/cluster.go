@@ -976,6 +976,12 @@ func (c *Cluster) Deploy(g *graph.Graph, tcfg TrunkConfig) (*ClusterDeployment, 
 	for node, ss := range specs {
 		c.nodes[node].Switch.Table().AddBatch(ss)
 	}
+	for _, dep := range cd.deps {
+		if err := dep.release(); err != nil {
+			cd.Stop()
+			return nil, err
+		}
+	}
 	c.mu.Lock()
 	c.deployments[cd] = true
 	c.mu.Unlock()

@@ -78,7 +78,19 @@ func TestClusterSplitChainVanillaTrafficCrossesTrunk(t *testing.T) {
 	// Both directions must deliver across the node boundary.
 	waitRecv(t, cd, "end0", 2000)
 	waitRecv(t, cd, "end1", 2000)
+	// Freeze the counters before comparing trunk and lane: with traffic
+	// running, a batch can land between the two reads.
+	cd.SrcSink("end0").SetPaused(true)
+	cd.SrcSink("end1").SetPaused(true)
 	ab, ba := tr.Stats()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		ab2, ba2 := tr.Stats()
+		if ab2 == ab && ba2 == ba {
+			break
+		}
+		ab, ba = ab2, ba2
+	}
 	if ab.Carried == 0 || ba.Carried == 0 {
 		t.Fatalf("trunk carried %d/%d frames, both directions must flow", ab.Carried, ba.Carried)
 	}

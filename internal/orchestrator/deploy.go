@@ -36,6 +36,10 @@ type Deployment struct {
 	// PortOf maps (VNF name, local port) to switch port ids.
 	portOf map[graph.Endpoint]uint32
 
+	// held are the traffic generators whose VMs are plumbed but which
+	// release has not started yet.
+	held []heldVNF
+
 	// specs is the deployment's DESIRED local steering state: the rules its
 	// node-local edges lower to, stamped with the deployment cookie. The
 	// reconciler re-derives the installed set from the flow table and diffs
@@ -45,6 +49,12 @@ type Deployment struct {
 
 	flowPrio uint16
 	cookie   uint64
+}
+
+// heldVNF is a plumbed VNF waiting to be started.
+type heldVNF struct {
+	v    graph.VNF
+	pmds []*dpdkr.PMD
 }
 
 // newDeployment returns an empty deployment shell on n — no VNFs, no rules.
@@ -125,13 +135,23 @@ func (n *Node) Deploy(g *graph.Graph) (*Deployment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return n.lower(g)
+	d, err := n.lower(g)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.release(); err != nil {
+		d.Stop()
+		return nil, err
+	}
+	return d, nil
 }
 
 // lower is the per-node local lowering step: instantiate every VNF of the
 // (already validated, node-local) graph and install the steering rules for
 // its edges in one batched table mutation. NIC endpoints the edges name
-// must already be attached to this node.
+// must already be attached to this node. Traffic generators are held back:
+// the caller starts them with release once every rule their traffic needs
+// is in, so no generated frame meets a table still being programmed.
 func (n *Node) lower(g *graph.Graph) (*Deployment, error) {
 	d := newDeployment(n)
 
@@ -168,9 +188,24 @@ func (d *Deployment) instantiate(v graph.VNF) error {
 	for i, id := range ids {
 		d.portOf[graph.VNFPort(v.Name, i)] = id
 	}
+	if v.Kind == graph.KindSource || v.Kind == graph.KindSrcSink {
+		d.held = append(d.held, heldVNF{v, pmds})
+		return nil
+	}
 	if err := d.startVNF(v, pmds); err != nil {
 		return fmt.Errorf("deploy %s: %w", v.Name, err)
 	}
+	return nil
+}
+
+// release starts the traffic generators lower held back.
+func (d *Deployment) release() error {
+	for _, h := range d.held {
+		if err := d.startVNF(h.v, h.pmds); err != nil {
+			return fmt.Errorf("deploy %s: %w", h.v.Name, err)
+		}
+	}
+	d.held = nil
 	return nil
 }
 

@@ -49,6 +49,11 @@ const migrateDrainTimeout = 3 * time.Second
 // keeps a second migration from interleaving with the first's stale rules.
 var ErrMigrationInFlight = errors.New("orchestrator: migration in flight")
 
+// ErrStatefulMove reports a refused move of a stateful VNF (NAT44, ACL,
+// balancer): a replica would come up with an empty connection table, so
+// every established connection through it would break.
+var ErrStatefulMove = errors.New("orchestrator: stateful VNF cannot move")
+
 // MigrateReport describes a completed live migration.
 type MigrateReport struct {
 	VNF  string
@@ -142,6 +147,9 @@ func (cd *ClusterDeployment) Migrate(vnfName, target string) (MigrateReport, err
 	v := cd.graph.VNFs[vi]
 	if v.Kind.PortCount() != 2 {
 		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: only two-port middle VNFs migrate (kind %s)", vnfName, v.Kind)
+	}
+	if v.Kind.Stateful() {
+		return MigrateReport{}, fmt.Errorf("orchestrator: migrate %s: %w (kind %s)", vnfName, ErrStatefulMove, v.Kind)
 	}
 	src := ""
 	for node, d := range cd.deps {

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,15 +259,15 @@ func (r *Rebalancer) planDeployment(cd *ClusterDeployment, loads []float64, excl
 	nicNodes := c.nicNodes()
 	curCross := scratch.Crossings(c.DefaultNode(), nicNodes)
 
-	// Unpin the movable VNFs: running two-port middles not under cooldown.
-	// Everything else (endpoints, cooling-down VNFs) stays pinned where it
-	// is, so the optimizer plans around it.
+	// Unpin the movable VNFs: running stateless two-port middles not under
+	// cooldown. Everything else (endpoints, stateful VNFs, cooling-down
+	// VNFs) stays pinned where it is, so the optimizer plans around it.
 	now := time.Now()
 	movable := make(map[string]string)
 	r.mu.Lock()
 	for i := range scratch.VNFs {
 		v := &scratch.VNFs[i]
-		if v.Kind.PortCount() != 2 || v.Node == "" || !instantiated[v.Name] {
+		if v.Kind.PortCount() != 2 || v.Kind.Stateful() || v.Node == "" || !instantiated[v.Name] {
 			continue
 		}
 		if last, ok := r.lastMove[moveKey(cd, v.Name)]; ok && now.Sub(last) < r.cfg.Cooldown {
@@ -390,38 +391,47 @@ func loadSpread(loads []float64, excluded []bool) float64 {
 // with the same rolling zero-loss machinery the rebalance controller uses —
 // one migration at a time, targets chosen by re-running placement with the
 // node excluded. Single-port endpoint VNFs cannot migrate and stay put.
-// Returns the number of VNFs moved; a node hosting none is a no-op (the
-// cordon still applies). On error the evacuation stops with the completed
-// moves committed and the layout reconcilable.
+// Stateful VNFs (graph.Kind.Stateful) stay put too: everything else is
+// evacuated, and the returned error wraps ErrStatefulMove and names the
+// VNFs left behind. Returns the number of VNFs moved; a node hosting none
+// is a no-op (the cordon still applies). On a migration error the
+// evacuation stops with the completed moves committed and the layout
+// reconcilable.
 func (c *Cluster) Drain(node string) (int, error) {
 	if err := c.Cordon(node); err != nil {
 		return 0, fmt.Errorf("orchestrator: drain: %w", err)
 	}
 	moved := 0
+	var stuck []string
 	for _, cd := range c.deploymentsSorted() {
-		n, err := cd.drainFrom(node)
+		n, left, err := cd.drainFrom(node)
 		moved += n
+		stuck = append(stuck, left...)
 		if err != nil {
 			return moved, fmt.Errorf("orchestrator: drain %s: %w", node, err)
 		}
 	}
+	if len(stuck) > 0 {
+		return moved, fmt.Errorf("orchestrator: drain %s: %w: %s left behind", node, ErrStatefulMove, strings.Join(stuck, ", "))
+	}
 	return moved, nil
 }
 
-// drainFrom evacuates this deployment's middle VNFs off the given node.
-func (cd *ClusterDeployment) drainFrom(node string) (int, error) {
+// drainFrom evacuates this deployment's stateless middle VNFs off the given
+// node and returns the stateful ones it left there.
+func (cd *ClusterDeployment) drainFrom(node string) (int, []string, error) {
 	c := cd.cluster
 	cd.mu.Lock()
 	if cd.stopped {
 		cd.mu.Unlock()
-		return 0, nil
+		return 0, nil, nil
 	}
 	scratch := &graph.Graph{
 		VNFs:  append([]graph.VNF(nil), cd.graph.VNFs...),
 		Edges: cd.graph.Edges,
 	}
 	spines := cd.spines
-	var evacuate []string
+	var evacuate, stuck []string
 	if d := cd.deps[node]; d != nil {
 		for i := range scratch.VNFs {
 			v := &scratch.VNFs[i]
@@ -431,13 +441,18 @@ func (cd *ClusterDeployment) drainFrom(node string) (int, error) {
 			if _, ok := d.vms[v.Name]; !ok {
 				continue
 			}
+			if v.Kind.Stateful() {
+				stuck = append(stuck, v.Name)
+				continue
+			}
 			evacuate = append(evacuate, v.Name)
 			v.Node = ""
 		}
 	}
 	cd.mu.Unlock()
+	sort.Strings(stuck)
 	if len(evacuate) == 0 {
-		return 0, nil
+		return 0, stuck, nil
 	}
 	sort.Strings(evacuate)
 
@@ -446,7 +461,7 @@ func (cd *ClusterDeployment) drainFrom(node string) (int, error) {
 	// stay pinned, so only the evacuees move.
 	excluded, _ := c.placementExclusions(false)
 	if _, err := scratch.PlaceWith(c.order, c.nicNodes(), c.placeOptions(c.NodeLoads(), spines, excluded)); err != nil {
-		return 0, err
+		return 0, stuck, err
 	}
 	target := make(map[string]string, len(evacuate))
 	for _, v := range scratch.VNFs {
@@ -455,9 +470,9 @@ func (cd *ClusterDeployment) drainFrom(node string) (int, error) {
 	moved := 0
 	for _, name := range evacuate {
 		if _, err := cd.Migrate(name, target[name]); err != nil {
-			return moved, err
+			return moved, stuck, err
 		}
 		moved++
 	}
-	return moved, nil
+	return moved, stuck, nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ovshighway/internal/graph"
+	"ovshighway/internal/pkt"
 )
 
 // skewedChain deploys an n-middle paced chain with the middles deliberately
@@ -249,5 +250,40 @@ func TestCordonExcludesFromPlacement(t *testing.T) {
 	}
 	if cs := c.CordonedNodes(); len(cs) != 0 {
 		t.Fatalf("uncordon left cordons behind: %v", cs)
+	}
+}
+
+// TestRebalancerNeverPlansStatefulVNF: the pressure that moves a forwarder
+// middle in TestRebalanceCooldownPreventsPingPong must leave a NAT44 middle
+// where it is — a replica would start with an empty binding table.
+func TestRebalancerNeverPlansStatefulVNF(t *testing.T) {
+	c := newCluster(t, ModeVanilla, "a", "b")
+	g := &graph.Graph{
+		VNFs: []graph.VNF{
+			{Name: "client", Kind: graph.KindSource, Node: "a", Args: SourceSpecArgs{
+				Spec: DefaultTrafficSpec(), Flows: 4, RatePps: 20_000,
+			}},
+			{Name: "nat", Kind: graph.KindNAT44, Node: "a", Args: NAT44Args{
+				ExtIP: pkt.IP4{192, 0, 2, 1}, PortBase: 40000, PortCount: 4,
+			}},
+			{Name: "server", Kind: graph.KindSink, Node: "b"},
+		},
+		Edges: []graph.Edge{
+			{A: graph.VNFPort("client", 0), B: graph.VNFPort("nat", 0), Bidirectional: true},
+			{A: graph.VNFPort("nat", 1), B: graph.VNFPort("server", 0), Bidirectional: true},
+		},
+	}
+	cd, err := c.Deploy(g, TrunkConfig{RatePps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cd.Stop)
+
+	r := c.newRebalancer(RebalanceConfig{Interval: 10 * time.Millisecond, Cooldown: time.Hour})
+	if moved := r.pass([]float64{4, 0}); moved != 0 {
+		t.Fatalf("hot-a pass moved %d VNFs, want 0", moved)
+	}
+	if cd.Deployment("a") == nil || cd.Deployment("a").NAT44("nat") == nil {
+		t.Fatal("nat left node a")
 	}
 }

@@ -70,8 +70,11 @@ type pmdThread struct {
 	// iters counts loop iterations; each iteration re-loads the port
 	// snapshot, so control code can wait out an in-flight iteration after
 	// swapping the snapshot (see Switch.WaitDatapathQuiescence and the
-	// quiesce step of Switch.MoveQueue).
-	iters atomic.Uint64
+	// quiesce step of Switch.MoveQueue). yielded is the iteration whose
+	// batches are all done and which is now yielding the CPU: a waiter
+	// need not wait for a thread parked there to be rescheduled.
+	iters   atomic.Uint64
+	yielded atomic.Uint64
 
 	// busyNanos/totalNanos implement the pmd-auto-lb load signal: busy is
 	// time spent inside processBatch, total is wall time across whole loop
@@ -189,9 +192,17 @@ func (p *pmdThread) run() {
 			q.frames.Add(uint64(n))
 		}
 		if !work {
+			p.yielded.Store(p.iters.Load())
 			runtime.Gosched()
 		}
 	}
+}
+
+// pastRound reports whether the thread is done with iteration round: it
+// has begun a later one, it is yielding at the end of that one, or it is
+// stopping. Either way no batch of round is still being processed.
+func (p *pmdThread) pastRound(round uint64) bool {
+	return p.iters.Load() != round || p.yielded.Load() == round || p.stop.Load()
 }
 
 // processBatch runs one input burst through the two-phase pipeline:

@@ -411,8 +411,20 @@ func (s *Switch) DatapathID() uint64 { return s.cfg.DatapathID }
 // PacketIns returns the controller punt channel.
 func (s *Switch) PacketIns() <-chan PacketInEvent { return s.packetIns }
 
-// AddPort attaches a port to the datapath.
+// AddPort attaches a port to the datapath. On a running switch it returns
+// only after every PMD has begun a round with the new port snapshot: a rule
+// that outputs to the port, installed right afterwards, can then never meet
+// a round that still resolves outputs against the old snapshot (which would
+// treat the port as unknown and free the frames uncounted).
 func (s *Switch) AddPort(p DataPort) error {
+	if err := s.addPort(p); err != nil {
+		return err
+	}
+	s.WaitDatapathQuiescence()
+	return nil
+}
+
+func (s *Switch) addPort(p DataPort) error {
 	s.portsMu.Lock()
 	defer s.portsMu.Unlock()
 	old := s.portsSnap.Load()
@@ -531,8 +543,9 @@ func (s *Switch) MoveQueue(portID uint32, qid, dst int) error {
 	return nil
 }
 
-// waitPMDIteration blocks until PMD idx begins a new loop iteration (and so
-// has observed the latest assignment snapshot), or the thread/switch stops.
+// waitPMDIteration blocks until PMD idx is done with its current loop
+// iteration (so its next one observes the latest assignment snapshot), or
+// the thread/switch stops.
 func (s *Switch) waitPMDIteration(idx int) {
 	if !s.started.Load() || s.stopped.Load() {
 		return
@@ -543,7 +556,7 @@ func (s *Switch) waitPMDIteration(idx int) {
 	}
 	p := pmds[idx]
 	before := p.iters.Load()
-	for p.iters.Load() == before && !p.stop.Load() {
+	for !p.pastRound(before) {
 		runtime.Gosched()
 	}
 }
@@ -650,10 +663,11 @@ func (s *Switch) Restart() error {
 	return nil
 }
 
-// WaitDatapathQuiescence blocks until every PMD thread has started a new
-// loop iteration (and therefore observed the latest port snapshot), or the
-// switch has stopped. Callers use it after RemovePort before reclaiming the
-// removed port's resources.
+// WaitDatapathQuiescence blocks until every PMD thread is done with the
+// loop iteration it was in (so it processes nothing more against an older
+// port snapshot), or the switch has stopped. Callers use it after
+// RemovePort before reclaiming the removed port's resources; AddPort uses
+// it before returning.
 func (s *Switch) WaitDatapathQuiescence() {
 	if !s.started.Load() || s.stopped.Load() {
 		return
@@ -664,7 +678,7 @@ func (s *Switch) WaitDatapathQuiescence() {
 		before[i] = p.iters.Load()
 	}
 	for i, p := range pmds {
-		for p.iters.Load() == before[i] && !p.stop.Load() {
+		for !p.pastRound(before[i]) {
 			runtime.Gosched()
 		}
 	}
