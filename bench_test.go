@@ -329,6 +329,65 @@ func BenchmarkEMCLookup(b *testing.B) {
 	})
 }
 
+// BenchmarkKeyHash splits the PMD's per-packet key stage from the lookups
+// it feeds: pack is header-key extraction from a parsed frame plus the
+// 36-byte canonical pack, hash the two halves of the key mix (EMC/SMC
+// bucket and signature, SMC secondary), tuple the flow identity hash behind
+// RSS and ECMP, and hashkey the conntrack shard hash of a 5-tuple (the same
+// value as tuple). Zero allocations — CI gates every line.
+func BenchmarkKeyHash(b *testing.B) {
+	const keys = 256 // distinct inputs, so no iteration reuses the last one's result
+	parsers := make([]pkt.Parser, keys)
+	kps := make([]flow.Packed, keys)
+	fts := make([]conntrack.Key, keys)
+	for i := range parsers {
+		frame := make([]byte, 128)
+		n, err := pkt.BuildUDP(frame, pkt.UDPSpec{
+			SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2},
+			SrcIP: pkt.IP4{10, 0, 0, byte(i)}, DstIP: pkt.IP4{10, 0, 1, 2},
+			SrcPort: uint16(5000 + i), DstPort: 9000, FrameLen: pkt.MinFrame,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := parsers[i].Parse(frame[:n]); err != nil {
+			b.Fatal(err)
+		}
+		k := flow.ExtractKey(&parsers[i], 1)
+		kps[i] = k.Pack()
+		fts[i], _ = parsers[i].FiveTuple()
+	}
+	b.Run("pack", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := flow.ExtractKey(&parsers[i%keys], 1)
+			kps[i%keys] = k.Pack()
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kp := &kps[i%keys]
+			keyHashSink += kp.Hash() ^ kp.Hash2()
+		}
+	})
+	b.Run("tuple", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keyHashSink += kps[i%keys].TupleHash()
+		}
+	})
+	b.Run("hashkey", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keyHashSink += conntrack.HashKey(fts[i%keys])
+		}
+	})
+}
+
+// keyHashSink keeps BenchmarkKeyHash's hash results live.
+var keyHashSink uint32
+
 // BenchmarkLookupChurn is the death-mark invalidation headline: steady
 // traffic over a fixed key set while UNRELATED flows are deleted from the
 // table (idle-expiry / co-resident-teardown churn). Under the legacy
@@ -418,7 +477,7 @@ func BenchmarkConntrack(b *testing.B) {
 	}
 	newTable := func(b *testing.B) *conntrack.Table {
 		// Headroom over the connection count: the arena is split evenly
-		// across shards but Hash2 spreads keys only statistically evenly.
+		// across shards but HashKey spreads keys only statistically evenly.
 		t, err := conntrack.New(conntrack.Config{Shards: 4, Capacity: conns + conns/8, IdleTimeout: time.Hour})
 		if err != nil {
 			b.Fatal(err)

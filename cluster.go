@@ -36,9 +36,10 @@ type FabricConfig struct {
 	// Spine.
 	Spines []string
 	// ECMPWidth is the number of parallel trunks per adjacency (default 1).
-	// Flows are pinned to one trunk of the bundle by their (lane, Hash2)
-	// hash, repicked off congested paths at flowlet boundaries, and re-pin
-	// live onto survivors when a trunk dies.
+	// Flows are pinned to one trunk of the bundle by their lane mixed with
+	// their tuple hash (flow.Packed.TupleHash), repicked off congested
+	// paths at flowlet boundaries, and re-pin live onto survivors when a
+	// trunk dies.
 	ECMPWidth int
 	// StagingCap bounds each trunk direction's per-PCP staging queue
 	// (default 256). Shallower queues surface congestion faster; deeper

@@ -6,7 +6,8 @@
 //	go test -bench . -benchmem -count 5 . | tee BENCH_head.txt | benchjson > BENCH_head.json
 //	benchjson BENCH_pr8.txt > BENCH_pr8.json
 //
-// Context lines (goos/goarch/pkg/cpu) are folded into every record; metric
+// Context lines (goos/goarch/pkg/cpu) are folded into every record, and the
+// "-N" GOMAXPROCS suffix of a benchmark name is recorded as procs; metric
 // suffixes (ns/op, MB/s, B/op, allocs/op, and any custom unit) become
 // fields of a metrics map, so repeated -count runs stay separate records
 // for variance-aware consumers like benchstat.
@@ -25,6 +26,7 @@ import (
 // record is one benchmark result line.
 type record struct {
 	Name       string             `json:"name"`
+	Procs      int                `json:"procs"` // GOMAXPROCS: the name's "-N" suffix, absent at 1
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 	Goos       string             `json:"goos,omitempty"`
@@ -100,6 +102,12 @@ func parseBench(line string, ctx record) (record, bool) {
 	}
 	rec := ctx
 	rec.Name = fields[0]
+	rec.Procs = 1
+	if i := strings.LastIndexByte(rec.Name, '-'); i >= 0 {
+		if n, err := strconv.Atoi(rec.Name[i+1:]); err == nil && n > 0 {
+			rec.Procs = n
+		}
+	}
 	rec.Iterations = iters
 	rec.Metrics = make(map[string]float64, (len(fields)-2)/2)
 	for i := 2; i+1 < len(fields); i += 2 {

@@ -62,3 +62,25 @@ func TestConvertSkipsNonBenchLines(t *testing.T) {
 		t.Fatalf("junk input produced records: %s", out.String())
 	}
 }
+
+func TestConvertProcsSuffix(t *testing.T) {
+	in := "BenchmarkKeyHash/tuple-2   1000   11.5 ns/op\n" +
+		"BenchmarkPMDBatch/ecmp-adaptive   1000   8312 ns/op\n"
+	var out bytes.Buffer
+	if err := convert(strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&out)
+	for _, want := range []record{
+		{Name: "BenchmarkKeyHash/tuple-2", Procs: 2},
+		{Name: "BenchmarkPMDBatch/ecmp-adaptive", Procs: 1},
+	} {
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Name != want.Name || r.Procs != want.Procs {
+			t.Fatalf("got name %q procs %d, want %q procs %d", r.Name, r.Procs, want.Name, want.Procs)
+		}
+	}
+}

@@ -1467,7 +1467,7 @@ func RunConntrackPoint(conns int, cfg ExperimentConfig) (ConntrackRow, error) {
 	if conns < 1 || conns > 1<<22 {
 		return ConntrackRow{}, fmt.Errorf("conntrack: conns %d out of range [1,%d]", conns, 1<<22)
 	}
-	// Headroom: the arena splits evenly across shards but Hash2 spreads
+	// Headroom: the arena splits evenly across shards but HashKey spreads
 	// keys only statistically evenly, and window misses establish new
 	// connections on top of the seeded ones.
 	ct, err := conntrack.New(conntrack.Config{

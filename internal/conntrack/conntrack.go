@@ -2,9 +2,9 @@
 // stateful VNFs (NAT44, ACL established-bypass, L4 balancer) ride on.
 //
 // The table is split into power-of-two-bucket, open-addressed shards selected
-// by the same secondary key hash (flow.Packed.Hash2) that drives RSS queue
-// spreading, the SMC signature and ECMP path pinning. One flow therefore maps
-// to one RX queue, one PMD, one fabric path — and one conntrack shard: the
+// by the flow identity hash (flow.Packed.TupleHash) that also drives RSS
+// queue spreading and ECMP path pinning. One flow therefore maps to one RX
+// queue, one PMD, one fabric path — and one conntrack shard: the
 // connection's state lives where its packets arrive, so the hit path takes no
 // locks and bounces no cache lines between cores.
 //
@@ -40,11 +40,10 @@ import (
 // that direction's packets carry).
 type Key = pkt.FiveTuple
 
-// HashKey returns the shard/bucket hash of a connection key: the same Hash2
-// the RSS queue pick, the SMC signature and the ECMP path pinning derive
-// from, computed over the 5-tuple embedded in a packed classifier key
-// (everything else zero, as RSSHash fixes the in-port contribution at zero).
-// Allocation-free.
+// HashKey returns the shard/bucket hash of a connection key: the Hash2 of
+// the 5-tuple embedded in a packed classifier key with every other field
+// zero — exactly the key's TupleHash, so it equals the RSS queue hash and
+// the ECMP pick base of the connection's packets. Allocation-free.
 func HashKey(k Key) uint32 {
 	fk := flow.Key{
 		EthType: pkt.EtherTypeIPv4,
@@ -192,7 +191,7 @@ type shard struct {
 
 // Config parametrizes New. Zero values take defaults.
 type Config struct {
-	// Shards is the shard count, normally the PMD count so the Hash2 pick
+	// Shards is the shard count, normally the PMD count so the TupleHash pick
 	// aligns state with the receiving thread (default 1).
 	Shards int
 	// Capacity is the total preallocated entry count across all shards

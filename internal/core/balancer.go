@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"ovshighway/internal/loop"
 	"ovshighway/internal/vswitch"
 )
 
@@ -70,50 +70,26 @@ type Balancer struct {
 	rebalances atomic.Uint64
 	moves      atomic.Uint64
 
-	running  atomic.Bool
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	loop *loop.Loop
 }
 
 // NewBalancer builds a balancer over sw. Call Run (usually in a goroutine)
 // to start sampling, or drive it deterministically with RebalanceOnce.
 func NewBalancer(sw *vswitch.Switch, cfg BalancerConfig) *Balancer {
 	cfg.fill()
-	return &Balancer{
-		sw:   sw,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	return &Balancer{sw: sw, cfg: cfg, loop: loop.New()}
 }
 
 // Run samples until Stop. Intended as a goroutine; at most one Run per
 // balancer.
 func (b *Balancer) Run() {
-	b.running.Store(true)
-	defer close(b.done)
-	t := time.NewTicker(b.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-t.C:
-			b.RebalanceOnce()
-		}
-	}
+	b.loop.Run(b.cfg.Interval, func() { b.RebalanceOnce() })
 }
 
 // Stop halts Run and waits for it. Safe to call multiple times and on a
 // balancer that was never Run (the caller must have ordered Run before Stop
 // if it started one).
-func (b *Balancer) Stop() {
-	b.stopOnce.Do(func() { close(b.stop) })
-	if b.running.Load() {
-		<-b.done
-	}
-}
+func (b *Balancer) Stop() { b.loop.Stop() }
 
 // Stats returns the lifetime counters.
 func (b *Balancer) Stats() BalancerStats {

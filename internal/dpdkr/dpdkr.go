@@ -354,7 +354,7 @@ func (d *PMD) tx(bufs []*mempool.Buf) int {
 		if h, ok := flow.RSSHash(&d.rssParser, b.Bytes()); ok {
 			q = int(h % uint32(len(d.txNormal)))
 		}
-		if d.txNormal[q].Enqueue(bufs[n : n+1]) == 0 {
+		if d.txNormal[q].Enqueue(bufs[n:n+1]) == 0 {
 			break
 		}
 		n++

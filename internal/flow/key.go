@@ -12,6 +12,7 @@ package flow
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"ovshighway/internal/pkt"
@@ -108,36 +109,51 @@ func (p *Packed) MaskedEqual(mask, want *Packed) bool {
 	return true
 }
 
-// Hash returns an FNV-1a hash of the packed bytes.
-func (p Packed) Hash() uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, b := range p {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	return h
+// Hash returns the low 32 bits of the key mix: the EMC bucket index and the
+// SMC bucket index and 16-bit signature.
+func (p *Packed) Hash() uint32 { return uint32(p.mix()) }
+
+// Hash2 returns the high 32 bits of the same mix: the SMC's secondary hash.
+// An SMC entry must agree with a probe on bucket and signature (low half)
+// and on this value (high half), ~48 bits of one mix, before its mask-cover
+// check, which pushes undetectable collisions below any realistic flow count.
+func (p *Packed) Hash2() uint32 { return uint32(p.mix() >> 32) }
+
+// TupleHash is the flow identity hash: Hash2 of the key masked to EthType,
+// IPSrc, IPDst, IPProto, L4Src and L4Dst (packed bytes 16-17, 20-28, 30-33).
+// Leaving out in-port, MACs, VLAN and DSCP makes the RSS queue (picked before
+// a port is known), the conntrack shard (which sees only the 5-tuple) and
+// the ECMP pick base (the lane is mixed in separately) one value per flow.
+func (p *Packed) TupleHash() uint32 {
+	t := *p
+	clear(t[0:16])                // in-port, EthSrc, EthDst
+	t[18], t[19], t[29] = 0, 0, 0 // VlanID, IPDSCP
+	return t.Hash2()
 }
 
-// Hash2 returns a second hash of the packed bytes, independent of Hash:
-// FNV-1a over a different offset basis with a murmur-style finalizer. The
-// SMC stores it alongside the primary hash's signature, so an entry must
-// agree on ~48 independent hash bits before its mask-cover verification —
-// pushing undetectable signature collisions below any realistic flow count.
-func (p *Packed) Hash2() uint32 {
-	const prime32 = 16777619
-	h := uint32(0x9747b28c)
-	for _, b := range p {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	return h
+// mix is the only key hash: the 36 packed bytes folded a word at a time by
+// xxHash64's multiply-rotate rounds and primes, then its avalanche, so both
+// 32-bit halves depend on every input bit.
+func (p *Packed) mix() uint64 {
+	le := binary.LittleEndian
+	h := mixRound(mixP3+packedKeySize, le.Uint64(p[0:8]))
+	h = mixRound(h, le.Uint64(p[8:16]))
+	h = mixRound(h, le.Uint64(p[16:24]))
+	h = mixRound(h, le.Uint64(p[24:32]))
+	h ^= uint64(le.Uint32(p[32:36])) * mixP1
+	h = bits.RotateLeft64(h, 23)*mixP2 + mixP3
+	h ^= h >> 33
+	h *= mixP2
+	h ^= h >> 29
+	h *= mixP3
+	return h ^ h>>32
+}
+
+const mixP1, mixP2, mixP3 = 0x9e3779b185ebca87, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9
+
+func mixRound(h, w uint64) uint64 {
+	h ^= bits.RotateLeft64(w*mixP2, 31) * mixP1
+	return bits.RotateLeft64(h, 27)*mixP1 + mixP2
 }
 
 // ExtractKey builds a classifier key from a parsed packet and its ingress
@@ -173,20 +189,18 @@ func ExtractKey(p *pkt.Parser, inPort uint32) Key {
 
 // RSSHash computes a frame's receive-side-scaling hash the way the
 // simulated multi-queue ports' "hardware" does: parse, extract the header
-// key, and reuse the secondary key hash (Hash2) — the same value the SMC
-// signature and the ECMP path pinning derive from, so one flow maps to one
-// RX queue, one cache signature, and one fabric path. The ingress-port
-// contribution is fixed at zero because RSS runs before the switch has
-// attributed the frame to a port, and a queue choice must not depend on
-// it. ok=false marks frames the parser rejects: they have no flow
-// identity, and callers place them on queue 0. Allocates nothing.
+// key, and take its TupleHash — the same value the conntrack shard and the
+// ECMP path pin derive from, so one flow maps to one RX queue, one
+// conntrack shard and one fabric path. ok=false marks frames the parser
+// rejects: they have no flow identity, and callers place them on queue 0.
+// Allocates nothing.
 func RSSHash(p *pkt.Parser, frame []byte) (h uint32, ok bool) {
 	if err := p.Parse(frame); err != nil {
 		return 0, false
 	}
 	k := ExtractKey(p, 0)
 	kp := k.Pack()
-	return kp.Hash2(), true
+	return kp.TupleHash(), true
 }
 
 // Match pairs a key with a mask: the OpenFlow match of a flow entry.
@@ -333,10 +347,10 @@ func (m Match) String() string {
 		parts = append(parts, fmt.Sprintf("dl_vlan=%d", m.Key.VlanID))
 	}
 	if m.Mask.IPSrc != 0 {
-		parts = append(parts, fmt.Sprintf("nw_src=%s/%d", pkt.IP4FromUint32(m.Key.IPSrc), popcount(m.Mask.IPSrc)))
+		parts = append(parts, fmt.Sprintf("nw_src=%s/%d", pkt.IP4FromUint32(m.Key.IPSrc), bits.OnesCount32(m.Mask.IPSrc)))
 	}
 	if m.Mask.IPDst != 0 {
-		parts = append(parts, fmt.Sprintf("nw_dst=%s/%d", pkt.IP4FromUint32(m.Key.IPDst), popcount(m.Mask.IPDst)))
+		parts = append(parts, fmt.Sprintf("nw_dst=%s/%d", pkt.IP4FromUint32(m.Key.IPDst), bits.OnesCount32(m.Mask.IPDst)))
 	}
 	if m.Mask.IPProto != 0 {
 		parts = append(parts, fmt.Sprintf("nw_proto=%d", m.Key.IPProto))
@@ -351,13 +365,4 @@ func (m Match) String() string {
 		return "any"
 	}
 	return strings.Join(parts, ",")
-}
-
-func popcount(v uint32) int {
-	n := 0
-	for v != 0 {
-		n += int(v & 1)
-		v >>= 1
-	}
-	return n
 }

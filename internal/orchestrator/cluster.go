@@ -71,8 +71,8 @@ type TrunkConfig struct {
 	Spines []string
 	// ECMPWidth is the number of parallel trunks per adjacency (default 1,
 	// max flow.MaxECMPPorts). Each flow is pinned to one trunk of the
-	// bundle by its (lane, Hash2) hash; surviving trunks absorb the flows
-	// of a torn-down one.
+	// bundle by its lane mixed with its tuple hash (flow.Packed.TupleHash);
+	// surviving trunks absorb the flows of a torn-down one.
 	ECMPWidth int
 	// PCPWeights are the per-802.1Q-priority DRR weights every trunk of
 	// the fabric schedules its shared budget by (0 = weight 1).
@@ -742,8 +742,13 @@ func (c *Cluster) releaseLane(pair pairKey, vid uint16) {
 	// poller detaches them within two iterations) and detach the NICs
 	// before unlocking.
 	delete(c.trunks, pair)
+	live := make([]*trunkLink, 0, len(ct.links))
 	for _, tl := range ct.links {
+		if tl.failed {
+			continue // FailTrunk/FailNode dismantled it and own its drain
+		}
 		c.dismantleLinkLocked(pair, tl)
+		live = append(live, tl)
 	}
 	if len(c.trunks) == 0 && c.poller != nil {
 		// Symmetric with the lazy create in ensureTrunk: the last trunk
@@ -755,7 +760,7 @@ func (c *Cluster) releaseLane(pair pairKey, vid uint16) {
 	}
 	c.mu.Unlock()
 
-	for _, tl := range ct.links {
+	for _, tl := range live {
 		c.drainDeadLink(pair, tl)
 	}
 }

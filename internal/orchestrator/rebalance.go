@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ovshighway/internal/graph"
+	"ovshighway/internal/loop"
 )
 
 // This file closes the placement loop. DeployPlaced picks a layout once,
@@ -83,8 +84,7 @@ type RebalancerStats struct {
 type Rebalancer struct {
 	c    *Cluster
 	cfg  RebalanceConfig
-	stop chan struct{}
-	done chan struct{}
+	loop *loop.Loop
 
 	passes   atomic.Uint64
 	deferred atomic.Uint64
@@ -113,8 +113,7 @@ func (c *Cluster) newRebalancer(cfg RebalanceConfig) *Rebalancer {
 	return &Rebalancer{
 		c:        c,
 		cfg:      cfg,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		loop:     loop.New(),
 		lastMove: make(map[string]time.Time),
 	}
 }
@@ -124,41 +123,18 @@ func (c *Cluster) newRebalancer(cfg RebalanceConfig) *Rebalancer {
 // may migrate VNFs the teardown is about to destroy.
 func (c *Cluster) StartRebalancer(cfg RebalanceConfig) *Rebalancer {
 	r := c.newRebalancer(cfg)
-	go r.run()
+	r.loop.Start(r.cfg.Interval, func() { r.runOnce() })
 	return r
-}
-
-func (r *Rebalancer) run() {
-	defer close(r.done)
-	t := time.NewTicker(r.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.runOnce()
-		}
-	}
 }
 
 // Stop aborts the controller: no new moves start, the move in flight (if
 // any) completes, and the call returns once the loop has exited. A plan
 // abandoned mid-way is safe — every executed move left a fully converged
 // layout, and the reconciler keeps converging whatever remains.
-func (r *Rebalancer) Stop() {
-	r.requestStop()
-	<-r.done
-}
+func (r *Rebalancer) Stop() { r.loop.Stop() }
 
 // requestStop flips the stop signal without waiting (idempotent).
-func (r *Rebalancer) requestStop() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-}
+func (r *Rebalancer) requestStop() { r.loop.Signal() }
 
 // Stats reads the controller's counters.
 func (r *Rebalancer) Stats() RebalancerStats {
@@ -204,10 +180,8 @@ func (r *Rebalancer) pass(loads []float64) int {
 	for _, cd := range c.deploymentsSorted() {
 		plan := r.planDeployment(cd, loads, excluded)
 		for _, mv := range plan {
-			select {
-			case <-r.stop:
+			if r.loop.Stopping() {
 				return executed
-			default:
 			}
 			// Re-validate against faults that appeared while earlier moves
 			// of the plan ran: the remaining proposal was computed against

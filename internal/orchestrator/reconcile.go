@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ovshighway/internal/flow"
+	"ovshighway/internal/loop"
 )
 
 // This file is the cluster's converging control plane. Deploy installs the
@@ -203,10 +204,8 @@ type ReconcilerStats struct {
 // turns the fault-injection surface (FailTrunk, FailNode, RestartVSwitch,
 // rule wipes) into transient blips instead of permanent outages.
 type Reconciler struct {
-	c        *Cluster
-	interval time.Duration
-	stop     chan struct{}
-	done     chan struct{}
+	c    *Cluster
+	loop *loop.Loop
 
 	passes  atomic.Uint64
 	repairs atomic.Uint64
@@ -221,44 +220,22 @@ func (c *Cluster) StartReconciler(interval time.Duration) *Reconciler {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	r := &Reconciler{
-		c:        c,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go r.run()
+	r := &Reconciler{c: c, loop: loop.New()}
+	r.loop.Start(interval, r.pass)
 	return r
 }
 
-func (r *Reconciler) run() {
-	defer close(r.done)
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			n, err := r.c.ReconcileOnce()
-			r.passes.Add(1)
-			r.repairs.Add(uint64(n))
-			if err != nil {
-				r.errs.Add(1)
-			}
-		}
+func (r *Reconciler) pass() {
+	n, err := r.c.ReconcileOnce()
+	r.passes.Add(1)
+	r.repairs.Add(uint64(n))
+	if err != nil {
+		r.errs.Add(1)
 	}
 }
 
 // Stop halts the loop and waits for an in-flight pass to finish.
-func (r *Reconciler) Stop() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.done
-}
+func (r *Reconciler) Stop() { r.loop.Stop() }
 
 // Stats reads the loop's counters.
 func (r *Reconciler) Stats() ReconcilerStats {

@@ -485,7 +485,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 				}
 				st.Seen.Store(nowNano)
 			}
-			// Per-packet path pinning: the packet's secondary key hash (mixed
+			// Per-packet path pinning: the packet's tuple hash (mixed
 			// with its VLAN lane, present after an earlier push in this same
 			// action list) selects one of the parallel destinations, so one
 			// flow always rides one path while distinct flows spread. A
@@ -499,7 +499,7 @@ func (p *pmdThread) executeGroup(g *flowGroup, snap *portSet, nowNano int64) {
 				if m.buf == nil {
 					continue
 				}
-				pick := m.kp.Hash2()
+				pick := m.kp.TupleHash()
 				if vid, tagged := pkt.FrameVlanID(m.buf.Bytes()); tagged {
 					pick ^= uint32(vid) * 0x9e3779b9
 				}

@@ -732,9 +732,9 @@ type DatapathStats struct {
 	PMDs   []PMDLoad
 	Queues []QueueLoad
 	// Conntrack aggregates the attached connection tables' counters;
-	// ConntrackShards carries the per-shard (= per-PMD, by the Hash2
-	// alignment) split, so windowed views show where connection state
-	// actually lives.
+	// ConntrackShards carries the per-shard (= per-PMD, since RSS queue
+	// and shard both come from the TupleHash) split, so windowed views
+	// show where connection state actually lives.
 	Conntrack       conntrack.Stats
 	ConntrackShards []conntrack.Stats
 }
